@@ -9,8 +9,8 @@ Exit codes are uniform across subcommands:
   3  a configured budget was exceeded (stderr names the stage)
 
 Reports are deterministic `key: value` lines; multi-row values (subspace
-bases) repeat the key once per row.  Output is byte-identical for any
---threads setting.
+bases) repeat the key once per row.  Scans run in one thread; --threads is
+accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _add_run_options(sp: argparse.ArgumentParser, *, sampled: bool = True) -> None:
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for exhaustive scans (output unchanged)")
+                    help="accepted for compatibility; scans run in one thread")
     sp.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                     help="max subspaces an exhaustive scan may enumerate")
     if sampled:

@@ -7,16 +7,18 @@ canonical order defined in `subspace`; sampled runs draw from a seeded RNG
 and are reproducible from (seed, count) alone.  A sampled counterexample is
 conclusive; a sampled "verified" only means no counterexample was found and
 is flagged as non-conclusive.
+
+Every scan runs in one thread.  The verifiers still accept `threads=` for
+compatibility; it changes nothing.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
 from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, matrix_row_bits, pack_bits
@@ -180,22 +182,6 @@ def _mul_gf2(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mul_mod(a, b, p: int):
-    """Product of tuple-of-tuple-rows matrices over GF(p)."""
-    width = len(b[0])
-    out = []
-    for ar in a:
-        acc = [0] * width
-        for k, c in enumerate(ar):
-            if c:
-                brow = b[k]
-                for j, x in enumerate(brow):
-                    if x:
-                        acc[j] = (acc[j] + c * x) % p
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFamily:
     """All products of exactly t maps from the family, deduplicated.
 
@@ -215,33 +201,18 @@ def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFam
         mats = [matrix_row_bits(m) for m in fam.maps]
         mul = _mul_gf2
     else:
-        mats = [tuple(m.row(i) for i in range(fam.n)) for m in fam.maps]
-        mul = lambda a, b: _mul_mod(a, b, p)  # noqa: E731
-    level: list = []
-    seen: set = set()
-    for m in mats:
-        if m not in seen:
-            seen.add(m)
-            level.append(m)
+        mats = list(fam.maps)
+        mul = Matrix.__matmul__
+    level = list(dict.fromkeys(mats))
     for _ in range(t - 1):
-        nxt: list = []
-        seen = set()
-        for w in level:
-            for m in mats:
-                prod = mul(w, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        level = nxt
+        level = list(dict.fromkeys(mul(w, m) for w in level for m in mats))
     n = fam.n
     if p == 2:
-        out = tuple(
+        level = [
             Matrix(fam.field, n, n, tuple((row >> j) & 1 for row in m for j in range(n)))
             for m in level
-        )
-    else:
-        out = tuple(Matrix(fam.field, n, n, tuple(x for row in m for x in row)) for m in level)
-    return MapFamily(fam.field, n, out)
+        ]
+    return MapFamily(fam.field, n, tuple(level))
 
 
 def word_length_for(epsilon, tau) -> int:
@@ -381,96 +352,65 @@ def _make_imagesum(fam: MapFamily):
 
 
 # ----------------------------------------------------------------------
-# scan engines (exhaustive, deterministic under threading)
+# the scan: image sums over a whole Grassmannian or over seeded draws
 # ----------------------------------------------------------------------
 
 
-def _blocks_for_dims(fam: MapFamily, dims: Sequence[int], enumeration_cap: int, stage: str):
-    """Schubert-cell blocks for the given dimensions with global start indices."""
+def _image_sums(fam: MapFamily, dims: Sequence[int], samples: int | None,
+                seed: int | None, enumeration_cap: int, stage: str):
+    """Yields (dim, subspace, image-sum dim) for each dimension in `dims`.
+
+    Exhaustive mode (samples None) checks the enumeration budget of all dims
+    before any work, then walks each Grassmannian in canonical order, so the
+    first subspace a caller picks is the canonical first.  Sampled mode draws
+    `samples` subspaces per dimension from one RNG seeded with `seed`.
+    """
     p = fam.field.modulus
-    total = sum(grassmann_count(fam.n, d, p) for d in dims)
-    if total > enumeration_cap:
-        raise BudgetExceeded(stage, total, enumeration_cap)
-    blocks = []
-    idx = 0
-    for d in dims:
-        for pivots, free, count in subspace_cells(fam.n, d, p):
-            blocks.append((idx, d, pivots, free))
-            idx += count
-    return blocks
-
-
-def _split_blocks(blocks, threads: int):
-    """Contiguous split into at most `threads` groups, balanced by block count."""
-    if threads <= 1 or len(blocks) <= 1:
-        return [blocks]
-    groups = []
-    size = max(1, -(-len(blocks) // threads))
-    for i in range(0, len(blocks), size):
-        groups.append(blocks[i : i + size])
-    return groups
-
-
-def _first_violation(fam: MapFamily, thresholds: dict[int, int], threads: int,
-                     enumeration_cap: int, stage: str):
-    """First subspace (canonical order) whose image-sum dim is below threshold.
-
-    Returns (global index, subspace, achieved) or None.  The scan is split by
-    Schubert-cell blocks across worker threads; the merge keeps the smallest
-    global index, so the result does not depend on the thread count.
-    """
-    dims = sorted(thresholds)
-    blocks = _blocks_for_dims(fam, dims, enumeration_cap, stage)
-    image_sum = _make_imagesum(fam)
-
-    def scan(group):
-        for start, d, pivots, free in group:
-            need = thresholds[d]
-            for off, sub in enumerate(cell_subspaces(fam.field, fam.n, pivots, free)):
-                a = image_sum(sub)
-                if a < need:
-                    return (start + off, sub, a)
-        return None
-
-    groups = _split_blocks(blocks, threads)
-    if len(groups) == 1:
-        return scan(groups[0])
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        hits = [h for h in pool.map(scan, groups) if h is not None]
-    return min(hits, key=lambda h: h[0]) if hits else None
-
-
-def _per_dim_minima(fam: MapFamily, dims: Sequence[int], threads: int,
-                    enumeration_cap: int, stage: str):
-    """Exact minimum image-sum dimension per subspace dimension.
-
-    Returns {dim: (min image-sum dim, global index of first witness, witness)}.
-    """
-    blocks = _blocks_for_dims(fam, dims, enumeration_cap, stage)
-    image_sum = _make_imagesum(fam)
-
-    def scan(group):
-        local: dict[int, tuple[int, int, Subspace]] = {}
-        for start, d, pivots, free in group:
-            for off, sub in enumerate(cell_subspaces(fam.field, fam.n, pivots, free)):
-                a = image_sum(sub)
-                cur = local.get(d)
-                if cur is None or a < cur[0]:
-                    local[d] = (a, start + off, sub)
-        return local
-
-    groups = _split_blocks(blocks, threads)
-    if len(groups) == 1:
-        merged = scan(groups[0])
+    if samples is None:
+        total = sum(grassmann_count(fam.n, d, p) for d in dims)
+        if total > enumeration_cap:
+            raise BudgetExceeded(stage, total, enumeration_cap)
     else:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            merged = {}
-            for local in pool.map(scan, groups):
-                for d, cand in local.items():
-                    cur = merged.get(d)
-                    if cur is None or (cand[0], cand[1]) < (cur[0], cur[1]):
-                        merged[d] = cand
-    return merged
+        if seed is None:
+            raise ValueError("sampled mode requires a seed")
+        if samples < 1:
+            raise ValueError("samples must be positive")
+        rng = random.Random(seed)
+    image_sum = _make_imagesum(fam)
+    for d in dims:
+        if samples is None:
+            for pivots, free, _ in subspace_cells(fam.n, d, p):
+                for sub in cell_subspaces(fam.field, fam.n, pivots, free):
+                    yield d, sub, image_sum(sub)
+        else:
+            for _ in range(samples):
+                sub = sample_with_rng(fam.n, d, fam.field, rng)
+                yield d, sub, image_sum(sub)
+
+
+def _first_violation(fam: MapFamily, thresholds: dict[int, int], samples: int | None,
+                     seed: int | None, enumeration_cap: int, stage: str) -> SpreadingResult:
+    """Verdict from the first subspace whose image-sum dim is below the
+    threshold of its dimension: the first in canonical order when exhaustive,
+    the first drawn when sampled."""
+    exhaustive = samples is None
+    if exhaustive:
+        seed = None
+    for d, sub, a in _image_sums(fam, sorted(thresholds), samples, seed,
+                                 enumeration_cap, stage):
+        if a < thresholds[d]:
+            return SpreadingResult(False, exhaustive, sub, a, samples=samples, seed=seed)
+    return SpreadingResult(True, exhaustive, samples=samples, seed=seed)
+
+
+def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int | None,
+            enumeration_cap: int, stage: str) -> dict[int, tuple[int, Subspace]]:
+    """{dim: (least image-sum dim, first subspace attaining it)}."""
+    out: dict[int, tuple[int, Subspace]] = {}
+    for d, sub, a in _image_sums(fam, dims, samples, seed, enumeration_cap, stage):
+        if d not in out or a < out[d][0]:
+            out[d] = (a, sub)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -502,26 +442,8 @@ def verify_spreading(
         raise ValueError(f"s={params.s} is not between 1 and n={fam.n}")
     if params.t > fam.n:
         raise ValueError(f"t={params.t} exceeds n={fam.n}")
-    if samples is None:
-        hit = _first_violation(
-            fam, {params.s: params.t}, threads, enumeration_cap, "spreading verification"
-        )
-        if hit is None:
-            return SpreadingResult(verified=True, exhaustive=True)
-        _, sub, achieved = hit
-        return SpreadingResult(False, True, sub, achieved)
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = random.Random(seed)
-    image_sum = _make_imagesum(fam)
-    for _ in range(samples):
-        sub = sample_with_rng(fam.n, params.s, fam.field, rng)
-        a = image_sum(sub)
-        if a < params.t:
-            return SpreadingResult(False, False, sub, a, samples=samples, seed=seed)
-    return SpreadingResult(True, False, samples=samples, seed=seed)
+    return _first_violation(fam, {params.s: params.t}, samples, seed, enumeration_cap,
+                            "spreading verification")
 
 
 def _expander_dims(n: int) -> list[int]:
@@ -549,26 +471,8 @@ def verify_expander(
     if not dims:
         raise ValueError("expansion needs n >= 2")
     thresholds = {d: _ceil_fraction((1 + tau) * d) for d in dims}
-    if samples is None:
-        hit = _first_violation(fam, thresholds, threads, enumeration_cap,
-                               "expander verification")
-        if hit is None:
-            return SpreadingResult(verified=True, exhaustive=True)
-        _, sub, achieved = hit
-        return SpreadingResult(False, True, sub, achieved)
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = random.Random(seed)
-    image_sum = _make_imagesum(fam)
-    for d in dims:
-        for _ in range(samples):
-            sub = sample_with_rng(fam.n, d, fam.field, rng)
-            a = image_sum(sub)
-            if a < thresholds[d]:
-                return SpreadingResult(False, False, sub, a, samples=samples, seed=seed)
-    return SpreadingResult(True, False, samples=samples, seed=seed)
+    return _first_violation(fam, thresholds, samples, seed, enumeration_cap,
+                            "expander verification")
 
 
 def measure_expansion(
@@ -589,39 +493,17 @@ def measure_expansion(
     dims = _expander_dims(fam.n)
     if not dims:
         raise ValueError("expansion needs n >= 2")
-    if samples is None:
-        minima = _per_dim_minima(fam, dims, threads, enumeration_cap,
-                                 "expansion measurement")
-        exhaustive = True
-    else:
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        rng = random.Random(seed)
-        image_sum = _make_imagesum(fam)
-        minima = {}
-        idx = 0
-        for d in dims:
-            for _ in range(samples):
-                sub = sample_with_rng(fam.n, d, fam.field, rng)
-                a = image_sum(sub)
-                cur = minima.get(d)
-                if cur is None or a < cur[0]:
-                    minima[d] = (a, idx, sub)
-                idx += 1
-        exhaustive = False
+    minima = _minima(fam, dims, samples, seed, enumeration_cap, "expansion measurement")
     tau_star = None
     witness = None
-    per_dim = []
     for d in dims:
-        value, idx, sub = minima[d]
-        per_dim.append((d, value))
+        value, sub = minima[d]
         ratio = Fraction(value, d) - 1
         if tau_star is None or ratio < tau_star:
             tau_star = ratio
             witness = sub
-    return ExpansionReport(tau_star, witness, tuple(per_dim), exhaustive)
+    per_dim = tuple((d, minima[d][0]) for d in dims)
+    return ExpansionReport(tau_star, witness, per_dim, samples is None)
 
 
 def verify_large_expansion(
@@ -652,7 +534,7 @@ def verify_large_expansion(
             raise ClosureViolation("family is not closed under transpose")
     if check_expander:
         try:
-            pre = verify_expander(fam, tau, threads=threads, enumeration_cap=enumeration_cap)
+            pre = verify_expander(fam, tau, enumeration_cap=enumeration_cap)
         except BudgetExceeded:
             pre = None
         if pre is not None and not pre.verified:
@@ -662,38 +544,19 @@ def verify_large_expansion(
             )
     n = fam.n
     dims = [d for d in range(n // 2 + 1, n)]
-    blocks = _blocks_for_dims(fam, dims, enumeration_cap, "large-subspace expansion")
-    image_sum = _make_imagesum(fam)
     thresholds = {d: _ceil_fraction((1 + tau * (1 - Fraction(d, n)) / 2) * d) for d in dims}
     sharper = {d: (tau * (1 - Fraction(d, n))) / ((1 + tau) * Fraction(d, n)) for d in dims}
-
-    def scan(group):
-        records = []
-        worst = None
-        for start, d, pivots, free in group:
-            for off, sub in enumerate(cell_subspaces(fam.field, fam.n, pivots, free)):
-                a = image_sum(sub)
-                delta = Fraction(a, d) - 1
-                records.append(
-                    LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d])
-                )
-                if a < thresholds[d] and worst is None:
-                    worst = (start + off, sub, a)
-        return records, worst
-
-    groups = _split_blocks(blocks, threads)
-    if len(groups) == 1:
-        all_records, hit = scan(groups[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            results = list(pool.map(scan, groups))
-        all_records = [rec for recs, _ in results for rec in recs]
-        hits = [h for _, h in results if h is not None]
-        hit = min(hits, key=lambda h: h[0]) if hits else None
+    records = []
+    hit = None
+    for d, sub, a in _image_sums(fam, dims, None, None, enumeration_cap,
+                                 "large-subspace expansion"):
+        delta = Fraction(a, d) - 1
+        records.append(LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d]))
+        if hit is None and a < thresholds[d]:
+            hit = (sub, a)
     if hit is None:
-        return LargeExpansionResult(True, None, None, tuple(all_records))
-    _, sub, achieved = hit
-    return LargeExpansionResult(False, sub, achieved, tuple(all_records))
+        return LargeExpansionResult(True, None, None, tuple(records))
+    return LargeExpansionResult(False, *hit, tuple(records))
 
 
 def spreading_profile(
@@ -708,5 +571,5 @@ def spreading_profile(
     dim-s subspaces.
     """
     dims = list(range(1, fam.n + 1))
-    minima = _per_dim_minima(fam, dims, threads, enumeration_cap, "spreading profile")
+    minima = _minima(fam, dims, None, None, enumeration_cap, "spreading profile")
     return tuple((d, minima[d][0]) for d in dims)

@@ -245,12 +245,12 @@ def min_spanning_rank_ones(
     if r0 > r_max:
         return None
 
-    reps_g = _proj_reps(p, d2)
-    reps_h = _proj_reps(p, d3)
-    pool_n = len(reps_g) * len(reps_h)
+    # Sized before any representative is built: building them walks p**d vectors.
+    pool_n = ((p**d2 - 1) // (p - 1)) * ((p**d3 - 1) // (p - 1))
     if pool_n > pool_cap:
         raise BudgetExceeded("rank-one candidate pool", pool_n, pool_cap)
-    pool_pairs = [(g, h) for g in reps_g for h in reps_h]
+    reps_h = _proj_reps(p, d3)
+    pool_pairs = [(g, h) for g in _proj_reps(p, d2) for h in reps_h]
     if p == 2:
         pool_vecs = []
         for g, h in pool_pairs:

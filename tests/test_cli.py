@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: reports, files, exit codes."""
 
+import signal
+import time
+
 import pytest
 
 from dimspread.cli import RunConfig, main
@@ -11,7 +14,7 @@ from dimspread.formats import (
     serialize_map_family,
     serialize_tensor,
 )
-from dimspread.gfp import GF2, Matrix
+from dimspread.gfp import GF2, FieldSpec, Matrix
 from dimspread.tensor import eval_decomposition, slice_tensor
 
 I2 = Matrix.identity(GF2, 2)
@@ -283,6 +286,32 @@ def test_tensor_rank_pool_budget(run, tmp_path):
     code, _, err = run("tensor-rank", str(src), "--r-max", "3", "--pool-cap", "100")
     assert code == 3
     assert "budget exceeded in rank-one candidate pool" in err
+
+
+def test_tensor_rank_pool_budget_fires_before_the_pool_is_built(run, tmp_path):
+    # Over GF(65521) a 1x2x2 tensor has 65522**2 candidate classes; building
+    # their representatives first would walk 65521**2 vectors per mode.
+    src = tmp_path / "wide.t3"
+    src.write_text(
+        serialize_tensor(slice_tensor([Matrix.identity(FieldSpec(65521), 2)])),
+        encoding="ascii",
+    )
+
+    def hung(signum, frame):
+        raise TimeoutError("tensor-rank did not stop at its pool budget")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        t0 = time.perf_counter()
+        code, _, err = run("tensor-rank", str(src), "--r-max", "3")
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    assert "budget exceeded in rank-one candidate pool" in err
+    assert elapsed < 1.0
 
 
 def test_certify_command(run, tmp_path):

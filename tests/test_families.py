@@ -1,5 +1,7 @@
 """Map families: symmetrize, word powers, matchings, spreading/expansion checks."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -116,6 +118,17 @@ def test_words_compose():
             ab = words(words(fam, 2), 2)
             direct = words(fam, 4)
             assert set(ab.maps) == set(direct.maps)
+
+
+def test_words_order_matches_brute_force():
+    rng = random.Random(11)
+    for field, n in ((GF2, 3), (F3, 2), (FieldSpec(5), 2)):
+        for _ in range(4):
+            fam = rand_family(field, n, 3, rng)
+            for t in (1, 2, 3):
+                products = (functools.reduce(Matrix.__matmul__, w)
+                            for w in itertools.product(fam.maps, repeat=t))
+                assert list(words(fam, t).maps) == list(dict.fromkeys(products))
 
 
 def test_words_budget():
