@@ -84,8 +84,7 @@ def certify_lower_bound(
     """
     bound = rank_bound(fam.n, params)  # validates t >= 1 before any scanning
     res = verify_spreading(
-        fam, params, samples=samples, seed=seed, threads=threads,
-        enumeration_cap=enumeration_cap,
+        fam, params, samples=samples, seed=seed, enumeration_cap=enumeration_cap,
     )
     if not res.verified:
         raise NotSpreading(res.counterexample, res.achieved)

@@ -201,7 +201,7 @@ def _cmd_verify_spreading(args: argparse.Namespace) -> int:
     params = SpreadingParams(args.s, args.t)
     res = verify_spreading(
         fam, params, samples=cfg.samples, seed=cfg.seed,
-        threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+        enumeration_cap=cfg.enumeration_cap,
     )
     items = _family_header("verify-spreading", fam)
     items += [("s", params.s), ("t", params.t)]
@@ -220,7 +220,7 @@ def _cmd_verify_expander(args: argparse.Namespace) -> int:
     fam = parse_map_family(_read(args.maps))
     res = verify_expander(
         fam, args.tau, samples=cfg.samples, seed=cfg.seed,
-        threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+        enumeration_cap=cfg.enumeration_cap,
     )
     items = _family_header("verify-expander", fam)
     items.append(("tau", args.tau))
@@ -239,7 +239,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     fam = parse_map_family(_read(args.maps))
     rep = measure_expansion(
         fam, samples=cfg.samples, seed=cfg.seed,
-        threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+        enumeration_cap=cfg.enumeration_cap,
     )
     items = _family_header("measure", fam)
     items += _mode_items(cfg)
@@ -293,7 +293,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     try:
         cert = certify_lower_bound(
             fam, params, samples=cfg.samples, seed=cfg.seed,
-            threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+            enumeration_cap=cfg.enumeration_cap,
         )
     except NotSpreading as e:
         items.append(("verdict", "not-spreading"))
@@ -353,7 +353,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     rep = measure_expansion(
         sym, samples=cfg.samples, seed=cfg.seed,
-        threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+        enumeration_cap=cfg.enumeration_cap,
     )
     items.append(("tau_star", rep.tau_star))
     if rep.tau_star <= 0:
@@ -373,7 +373,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         cert = certify_lower_bound(
             word_fam, params, samples=cfg.samples, seed=cfg.seed,
-            threads=cfg.threads, enumeration_cap=cfg.enumeration_cap,
+            enumeration_cap=cfg.enumeration_cap,
         )
     except NotSpreading as e:
         items.append(("spreading", "refuted"))

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
-from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, matrix_row_bits, pack_bits
+# Gf2RowSpan is unused here, but bench/tracing.py patches families.Gf2RowSpan.
+from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, vectors
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
     Subspace,
@@ -168,20 +169,6 @@ def symmetrize(fam: MapFamily) -> MapFamily:
     return MapFamily(fam.field, fam.n, tuple(out))
 
 
-def _mul_gf2(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of bit-packed GF(2) matrices (rows as ints)."""
-    out = []
-    for ar in a:
-        w = 0
-        x = ar
-        while x:
-            k = (x & -x).bit_length() - 1
-            w ^= b[k]
-            x &= x - 1
-        out.append(w)
-    return tuple(out)
-
-
 def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFamily:
     """All products of exactly t maps from the family, deduplicated.
 
@@ -196,23 +183,19 @@ def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFam
     nominal = d**t
     if nominal > word_cap:
         raise BudgetExceeded("word expansion", nominal, word_cap)
-    p = fam.field.modulus
-    if p == 2:
-        mats = [matrix_row_bits(m) for m in fam.maps]
-        mul = _mul_gf2
-    else:
-        mats = list(fam.maps)
-        mul = Matrix.__matmul__
+    vec = vectors(fam.field.modulus)
+    pack, combine = vec.pack, vec.combine
+    n = fam.n
+    mats = [tuple(pack(m.row(i)) for i in range(n)) for m in fam.maps]
     level = list(dict.fromkeys(mats))
     for _ in range(t - 1):
-        level = list(dict.fromkeys(mul(w, m) for w in level for m in mats))
-    n = fam.n
-    if p == 2:
-        level = [
-            Matrix(fam.field, n, n, tuple((row >> j) & 1 for row in m for j in range(n)))
-            for m in level
-        ]
-    return MapFamily(fam.field, n, tuple(level))
+        level = list(dict.fromkeys(
+            tuple(combine(r, b) for r in a) for a in level for b in mats
+        ))
+    return MapFamily(fam.field, n, tuple(
+        Matrix(fam.field, n, n, tuple(x for r in m for x in vec.unpack(r, n)))
+        for m in level
+    ))
 
 
 def word_length_for(epsilon, tau) -> int:
@@ -316,37 +299,25 @@ def dyadic_matchings(n: int) -> list[Matching]:
 
 
 def _make_imagesum(fam: MapFamily):
-    """Returns f(subspace) -> dim(sum of images), specialized per field."""
+    """Returns f(subspace) -> dim(sum of images).
+
+    The image of a basis vector v under a map is the combination of the
+    map's columns with the coordinates of v as coefficients.
+    """
     p = fam.field.modulus
     n = fam.n
-    if p == 2:
-        maps_bits = [matrix_row_bits(m) for m in fam.maps]
+    vec = vectors(p)
+    pack, combine = vec.pack, vec.combine
+    maps_cols = [tuple(pack(m.entries[j::n]) for j in range(n)) for m in fam.maps]
 
-        def image_sum(sub: Subspace) -> int:
-            basis = [pack_bits(sub.basis.row(i)) for i in range(sub.dim)]
-            span = Gf2RowSpan()
-            for rows in maps_bits:
-                for v in basis:
-                    w = 0
-                    for j, rj in enumerate(rows):
-                        if (v & rj).bit_count() & 1:
-                            w |= 1 << j
-                    if w and span.add(w) is not None and span.dim == n:
-                        return n
-            return span.dim
-
-    else:
-        maps_rows = [m.row_lists() for m in fam.maps]
-
-        def image_sum(sub: Subspace) -> int:
-            basis = [sub.basis.row(i) for i in range(sub.dim)]
-            span = make_row_span(p)
-            for rows in maps_rows:
-                for v in basis:
-                    w = [sum(c * v[k] for k, c in enumerate(row) if c) % p for row in rows]
-                    if span.add(w) is not None and span.dim == n:
-                        return n
-            return span.dim
+    def image_sum(sub: Subspace) -> int:
+        basis = [pack(sub.basis.row(i)) for i in range(sub.dim)]
+        span = make_row_span(p)
+        for cols in maps_cols:
+            for v in basis:
+                if span.add(combine(v, cols)) is not None and span.dim == n:
+                    return n
+        return span.dim
 
     return image_sum
 

@@ -5,14 +5,19 @@ Elimination always takes the first nonzero pivot in column order, so the
 reduced row echelon form and everything derived from it (kernel bases,
 canonical solutions) is reproducible bit for bit.
 
-Rows over GF(2) are packed into Python ints (bit j = column j) and
-eliminated with word-wide XOR; every other prime goes through the generic
-modular path.  The two paths agree exactly on GF(2) inputs.
+Vectors handed to the row spans and the scans have one representation per
+field, chosen here and nowhere else: over GF(2) a vector is a Python int
+(bit j = coordinate j) reduced with XOR; over odd p it is a tuple of
+residues.  `vectors(p)` returns the pack/unpack/combine operations for
+that representation and `make_row_span(p)` the matching span accumulator.
+Elimination (`rref`, `kernel_basis`, `solve`) runs on dense residue rows
+for every p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 __all__ = [
     "PRIME_LIMIT",
@@ -26,9 +31,10 @@ __all__ = [
     "Gf2RowSpan",
     "ModRowSpan",
     "make_row_span",
+    "FieldVectors",
+    "vectors",
     "pack_bits",
     "unpack_bits",
-    "matrix_row_bits",
 ]
 
 PRIME_LIMIT = 1 << 16
@@ -194,7 +200,7 @@ class Matrix:
 
 
 # ----------------------------------------------------------------------
-# bit packing (GF(2) fast path)
+# field vectors: packed ints over GF(2), residue tuples over odd p
 # ----------------------------------------------------------------------
 
 
@@ -211,9 +217,55 @@ def unpack_bits(v: int, width: int) -> tuple[int, ...]:
     return tuple((v >> j) & 1 for j in range(width))
 
 
-def matrix_row_bits(m: Matrix) -> tuple[int, ...]:
-    """Rows of a GF(2) matrix as packed ints."""
-    return tuple(pack_bits(m.row(i)) for i in range(m.rows))
+def _combine_bits(coeffs: int, rows) -> int:
+    """XOR of rows[k] over the set bits k of coeffs."""
+    w = 0
+    while coeffs:
+        low = coeffs & -coeffs
+        w ^= rows[low.bit_length() - 1]
+        coeffs ^= low
+    return w
+
+
+class FieldVectors(NamedTuple):
+    """The vector representation of one field.
+
+    pack(seq) turns a sequence of reduced residues into a vector,
+    unpack(v, width) turns it back into a tuple, and combine(coeffs, rows)
+    is the vector sum of coeffs[k] * rows[k], where coeffs is itself a
+    vector and rows are one or more vectors of one common width.
+    """
+
+    pack: Callable
+    unpack: Callable
+    combine: Callable
+
+
+_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _combine_bits)
+
+
+def _residue_vectors(p: int) -> FieldVectors:
+    def unpack(v, width: int) -> tuple[int, ...]:
+        return tuple(v)
+
+    def combine(coeffs, rows) -> tuple[int, ...]:
+        acc = None
+        for c, row in zip(coeffs, rows):
+            if c:
+                if acc is None:
+                    acc = [c * x for x in row]
+                else:
+                    acc = [a + c * x for a, x in zip(acc, row)]
+        if acc is None:
+            return (0,) * len(rows[0])
+        return tuple(a % p for a in acc)
+
+    return FieldVectors(tuple, unpack, combine)
+
+
+def vectors(p: int) -> FieldVectors:
+    """Vector operations for GF(p): packed ints for p = 2, tuples otherwise."""
+    return _GF2_VECTORS if p == 2 else _residue_vectors(p)
 
 
 # ----------------------------------------------------------------------
@@ -254,32 +306,6 @@ def _rref_dense(work: list[list[int]], pivot_cols: int, p: int):
     return work, r, pivots
 
 
-def _rref_bits(work: list[int], pivot_cols: int):
-    """In-place reduced row echelon form over GF(2) on bit-packed rows."""
-    nrows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(pivot_cols):
-        mask = 1 << c
-        pr = None
-        for i in range(r, nrows):
-            if work[i] & mask:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        wr = work[r]
-        for i in range(nrows):
-            if i != r and work[i] & mask:
-                work[i] ^= wr
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, r, pivots
-
-
 @dataclass(frozen=True)
 class Rref:
     """Reduced row echelon form together with rank and pivot columns."""
@@ -291,13 +317,8 @@ class Rref:
 
 def rref(m: Matrix) -> Rref:
     """The unique reduced row echelon form of m (same shape, zero rows kept)."""
-    if m.field.modulus == 2:
-        work = [pack_bits(m.row(i)) for i in range(m.rows)]
-        work, rank, pivots = _rref_bits(work, m.cols)
-        entries = tuple(x for v in work for x in unpack_bits(v, m.cols))
-    else:
-        rows, rank, pivots = _rref_dense(m.row_lists(), m.cols, m.field.modulus)
-        entries = tuple(x for r in rows for x in r)
+    rows, rank, pivots = _rref_dense(m.row_lists(), m.cols, m.field.modulus)
+    entries = tuple(x for r in rows for x in r)
     return Rref(Matrix(m.field, m.rows, m.cols, entries), rank, tuple(pivots))
 
 
@@ -456,5 +477,5 @@ class ModRowSpan:
 
 
 def make_row_span(p: int):
-    """Row-span accumulator for GF(p); GF(2) gets the bit-packed variant."""
+    """Row-span accumulator for the vectors of `vectors(p)`."""
     return Gf2RowSpan() if p == 2 else ModRowSpan(p)

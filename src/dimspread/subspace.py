@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded
-from .gfp import FieldSpec, Gf2RowSpan, Matrix, kernel_basis, make_row_span, pack_bits, rref
+from .gfp import FieldSpec, Matrix, kernel_basis, make_row_span, rref, vectors
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -79,30 +79,25 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         """Containment: self is a subspace of other."""
         self._check_compatible(other)
+        pack = vectors(self.field.modulus).pack
         span = make_row_span(self.field.modulus)
         for i in range(other.dim):
-            span.add(_prep_vector(self.field.modulus, other.basis.row(i)))
-        return all(
-            span.contains(_prep_vector(self.field.modulus, self.basis.row(i)))
-            for i in range(self.dim)
-        )
+            span.add(pack(other.basis.row(i)))
+        return all(span.contains(pack(self.basis.row(i))) for i in range(self.dim))
 
     def __contains__(self, vector) -> bool:
         vec = tuple(x % self.field.modulus for x in vector)
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match the ambient dimension")
+        pack = vectors(self.field.modulus).pack
         span = make_row_span(self.field.modulus)
         for i in range(self.dim):
-            span.add(_prep_vector(self.field.modulus, self.basis.row(i)))
-        return span.contains(_prep_vector(self.field.modulus, vec))
+            span.add(pack(self.basis.row(i)))
+        return span.contains(pack(vec))
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient != other.ambient:
             raise ValueError("subspaces live in different spaces")
-
-
-def _prep_vector(p: int, vec):
-    return pack_bits(vec) if p == 2 else vec
 
 
 def _check_canonical_basis(b: Matrix) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceeded, DecompositionMismatch, SpanFailure
-from .gfp import FieldSpec, Matrix, make_row_span, solve
+from .gfp import FieldSpec, Matrix, make_row_span, solve, vectors
 
 __all__ = [
     "DEFAULT_POOL_CAP",
@@ -189,20 +189,6 @@ def _proj_reps(p: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _slice_vectors(slices: Sequence[Matrix], p: int):
-    """Slices flattened to span-accumulator vectors (ints over GF(2))."""
-    if p == 2:
-        out = []
-        for m in slices:
-            v = 0
-            for j, x in enumerate(m.entries):
-                if x:
-                    v |= 1 << j
-            out.append(v)
-        return out
-    return [list(m.entries) for m in slices]
-
-
 def min_spanning_rank_ones(
     slices: Sequence[Matrix],
     r_max: int,
@@ -235,10 +221,10 @@ def min_spanning_rank_ones(
         if m.field != field or (m.rows, m.cols) != (d2, d3):
             raise ValueError("slices have inconsistent shapes or fields")
 
-    svecs = _slice_vectors(slices, p)
+    pack = vectors(p).pack
     base = make_row_span(p)
-    for v in svecs:
-        base.add(v)
+    for m in slices:
+        base.add(pack(m.entries))
     r0 = base.dim
     if r0 == 0:
         return (0, ())
@@ -250,21 +236,11 @@ def min_spanning_rank_ones(
     if pool_n > pool_cap:
         raise BudgetExceeded("rank-one candidate pool", pool_n, pool_cap)
     reps_h = _proj_reps(p, d3)
-    pool_pairs = [(g, h) for g in _proj_reps(p, d2) for h in reps_h]
-    if p == 2:
-        pool_vecs = []
-        for g, h in pool_pairs:
-            v = 0
-            for j, gj in enumerate(g):
-                if gj:
-                    for k, hk in enumerate(h):
-                        if hk:
-                            v |= 1 << (j * d3 + k)
-            pool_vecs.append(v)
-    else:
-        pool_vecs = [
-            [(gj * hk) % p for gj in g for hk in h] for g, h in pool_pairs
-        ]
+    pool = [
+        tuple((gj * hk) % p for gj in g for hk in h)
+        for g in _proj_reps(p, d2) for h in reps_h
+    ]
+    pool_vecs = [pack(e) for e in pool]
 
     steps = 0
 
@@ -305,12 +281,7 @@ def min_spanning_rank_ones(
     for r in range(r0, r_max + 1):
         hit = attempt(r)
         if hit is not None:
-            witness = tuple(
-                Matrix(field, d2, d3,
-                       tuple((gj * hk) % p
-                             for gj in pool_pairs[i][0] for hk in pool_pairs[i][1]))
-                for i in hit
-            )
+            witness = tuple(Matrix(field, d2, d3, pool[i]) for i in hit)
             return (r, witness)
     return None
 

@@ -450,3 +450,34 @@ def test_thread_count_is_invisible(run, tmp_path):
         single = run(*argv, "--threads", "1")
         multi = run(*argv, "--threads", "8")
         assert single == multi
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["measure"], "expansion measurement"),
+    (["verify-expander", "--tau", "1/2"], "expander verification"),
+    (["certify", "--s", "2", "--t", "3"], "spreading verification"),
+    (["pipeline", "--epsilon", "1/2"], "expansion measurement"),
+])
+def test_scan_budgets_fire_before_the_scan(run, tmp_path, argv, stage):
+    # GF(65521)^6 has ~10**43 subspaces of dimension 3; every scan budget must
+    # refuse it from the Gaussian binomial alone.
+    src = str(tmp_path / "wide.maps")
+    assert run("build-maps", "--kind", "random", "--n", "6", "--field", "65521",
+               "--seed", "1", "--out", src)[0] == 0
+
+    def hung(signum, frame):
+        raise TimeoutError(f"{argv[0]} did not stop at its enumeration budget")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(argv[0], src, *argv[1:])
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    assert out == ""
+    assert f"budget exceeded in {stage}" in err
+    assert elapsed < 1.0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dimspread.cli import main
 from dimspread.families import MapFamily, Matching
 from dimspread.formats import (
     matrix_report_rows,
@@ -195,3 +196,100 @@ def test_matrix_report_rows():
         ("witness", "1 0"),
         ("witness", "1 1"),
     ]
+
+
+# ----------------------------------------------------------------------
+# mutation fuzz: malformed input may only raise ValueError
+# ----------------------------------------------------------------------
+
+_TOKENS = ["0", "1", "2", "3", "-1", "7", "65537", "99999999999", "x", "1:1", "2:",
+           "#", "1/2", "mapfamily", "field", "n", "count", "tensor3", "dims",
+           "decomp", "terms", "matchings", "matching"]
+_BYTES = b"0123456789 \n\t#:-+_xe\x00\xff"
+
+
+def _valid_texts():
+    fam = MapFamily(F3, 3, (Matrix.identity(F3, 3),
+                            Matrix.from_rows(F3, [[0, 1, 2], [2, 0, 1], [1, 1, 0]])))
+    tensor = Tensor3(F3, 2, 2, 2, (1, 0, 2, 1, 0, 1, 1, 2))
+    dec = Decomposition(GF2, (2, 2, 2), (RankOneTerm((1, 0), (1, 1), (0, 1)),
+                                         RankOneTerm((1, 1), (1, 0), (1, 0))))
+    matchings = [Matching.identity(4), Matching(4, ((1, 2), (2, 3), (3, 4))), Matching(4, ())]
+    return {
+        "maps": (parse_map_family, serialize_map_family(fam)),
+        "t3": (parse_tensor, serialize_tensor(tensor)),
+        "dec": (parse_decomposition, serialize_decomposition(dec)),
+        "matchings": (parse_matchings, serialize_matchings(matchings)),
+    }
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        data = bytearray(text.encode("ascii"))
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(data) + 1)
+            op = rng.randrange(3)
+            if op == 0 and i < len(data):
+                del data[i]
+            elif op == 1 and i < len(data):
+                data[i] = rng.choice(_BYTES)
+            else:
+                data.insert(i, rng.choice(_BYTES))
+        return data.decode("latin-1")
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(rng.randrange(1, 3)):
+        line = rng.choice(lines)
+        i = rng.randrange(len(line) + 1)
+        op = rng.randrange(4)
+        if op == 0 and i < len(line):
+            del line[i]
+        elif op == 1 and i < len(line):
+            line[i] = rng.choice(_TOKENS)
+        elif op == 2:
+            line.insert(i, rng.choice(_TOKENS))
+        else:
+            lines.insert(rng.randrange(len(lines) + 1), list(line))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _fuzz(kind, count):
+    """Yields (mutant, raised ValueError?) for seeded mutants of one format."""
+    parse, text = _valid_texts()[kind]
+    rng = random.Random(kind)
+    for _ in range(count):
+        mutant = _mutate(text, rng)
+        try:
+            parse(mutant)
+        except ValueError:
+            yield mutant, True
+        else:
+            yield mutant, False
+
+
+@pytest.mark.parametrize("kind", ["maps", "t3", "dec", "matchings"])
+def test_parsers_survive_mutations(kind):
+    outcomes = [bad for _, bad in _fuzz(kind, 300)]  # any other exception fails here
+    assert any(outcomes)
+
+
+def test_cli_rejects_mutants_with_exit_2(tmp_path, capsys):
+    good = tmp_path / "good.maps"
+    good.write_text(serialize_map_family(MapFamily(GF2, 2, (Matrix.identity(GF2, 2),) * 2)),
+                    encoding="ascii")
+    commands = {
+        "maps": lambda f: ["measure", f],
+        "t3": lambda f: ["tensor-rank", f, "--r-max", "2"],
+        "dec": lambda f: ["refute", str(good), "--s", "1", "--t", "2", "--dec", f],
+        "matchings": lambda f: ["build-maps", "--kind", "matchings-file", "--input", f],
+    }
+    for kind, argv in commands.items():
+        rejected = [m for m, bad in _fuzz(kind, 60) if bad][:2]
+        assert len(rejected) == 2
+        for i, mutant in enumerate(rejected):
+            path = tmp_path / f"mutant{i}.{kind}"
+            path.write_bytes(mutant.encode("latin-1"))
+            code = main(argv(str(path)))
+            captured = capsys.readouterr()
+            assert code == 2, (kind, mutant)
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -1,9 +1,12 @@
 """Field and matrix layer: elimination, kernels, solving, row spans."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import dimspread
 from dimspread.gfp import (
     GF2,
     FieldSpec,
@@ -16,6 +19,7 @@ from dimspread.gfp import (
     rref,
     solve,
     unpack_bits,
+    vectors,
     _rref_dense,
 )
 
@@ -237,3 +241,36 @@ def test_mod_row_span_matches_rank():
 def test_make_row_span_dispatch():
     assert isinstance(make_row_span(2), Gf2RowSpan)
     assert isinstance(make_row_span(3), ModRowSpan)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_field_vectors_match_the_matrix_layer(p):
+    # pack/unpack/combine against Matrix.__matmul__ and rref, on seeded inputs
+    field = FieldSpec(p)
+    vec = vectors(p)
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 9)
+        v = [rng.randrange(p) for _ in range(rows)]
+        m = rand_matrix(field, rows, cols, rng)
+        assert vec.unpack(vec.pack(v), rows) == tuple(v)
+        packed_rows = [vec.pack(m.row(i)) for i in range(rows)]
+        product = Matrix(field, 1, rows, tuple(v)) @ m
+        assert vec.unpack(vec.combine(vec.pack(v), packed_rows), cols) == product.entries
+        span = make_row_span(p)
+        for r in packed_rows:
+            span.add(r)
+        assert span.dim == rref(m).rank
+
+
+def test_only_gfp_dispatches_on_the_modulus():
+    # The vector representation of each field is decided in gfp alone.
+    pattern = re.compile(r"\b(p|modulus)\s*==\s*2")
+    offenders = [
+        f"{path.name}:{no}: {line.strip()}"
+        for path in sorted(Path(dimspread.__file__).parent.glob("*.py"))
+        if path.name != "gfp.py"
+        for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
