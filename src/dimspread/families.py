@@ -8,12 +8,25 @@ and are reproducible from (seed, count) alone.  A sampled counterexample is
 conclusive; a sampled "verified" only means no counterexample was found and
 is flagged as non-conclusive.
 
+Exhaustive scans walk each Grassmannian one Schubert cell at a time on
+packed basis rows (`_cell_scan`).  The span of the images of rows 0..s-2
+is built once per prefix of free values and shared by every subspace that
+extends it; each subspace then adds only the images of its last row, read
+from per-map lookup tables of at most `_TABLE_CAP` entries (a longer last
+row moves its leading free entries into the prefix).  Adding stops as soon
+as the span reaches what the caller needs: the threshold when verifying,
+the least value found so far when measuring, n for the large-subspace
+records.  A `Subspace` is built only for the counterexample or witness
+reported, which is the same canonical first one a subspace-by-subspace walk
+finds.
+
 Every scan runs in one thread.  The verifiers still accept `threads=` for
 compatibility; it changes nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +34,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
-# Gf2RowSpan is unused here, but bench/tracing.py patches families.Gf2RowSpan.
+# Gf2RowSpan and cell_subspaces are unused here, but bench/tracing.py patches
+# families.Gf2RowSpan and families.cell_subspaces.
 from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, vectors
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
@@ -297,18 +311,25 @@ def dyadic_matchings(n: int) -> list[Matching]:
 # image-sum computation
 # ----------------------------------------------------------------------
 
+# Most entries a last-row lookup table holds per map.  A last row with more
+# free entries than one table covers moves its leading ones into the prefix.
+_TABLE_CAP = 1 << 10
+
+
+def _map_columns(fam: MapFamily, pack) -> list[tuple]:
+    """Each map's columns as packed vectors: the image of v under the map
+    is combine(v, columns)."""
+    n = fam.n
+    return [tuple(pack(m.entries[j::n]) for j in range(n)) for m in fam.maps]
+
 
 def _make_imagesum(fam: MapFamily):
-    """Returns f(subspace) -> dim(sum of images).
-
-    The image of a basis vector v under a map is the combination of the
-    map's columns with the coordinates of v as coefficients.
-    """
+    """Returns f(subspace) -> dim(sum of images)."""
     p = fam.field.modulus
     n = fam.n
     vec = vectors(p)
     pack, combine = vec.pack, vec.combine
-    maps_cols = [tuple(pack(m.entries[j::n]) for j in range(n)) for m in fam.maps]
+    maps_cols = _map_columns(fam, pack)
 
     def image_sum(sub: Subspace) -> int:
         basis = [pack(sub.basis.row(i)) for i in range(sub.dim)]
@@ -322,41 +343,130 @@ def _make_imagesum(fam: MapFamily):
     return image_sum
 
 
+def _lex_table(combine, steps, base, gens) -> list:
+    """base + sum of v[j] * gens[j] for every value vector v, in
+    lexicographic order; steps[a] is the coefficient vector (1, a)."""
+    table = [base]
+    for g in gens:
+        table = [combine(c, (t, g)) for t in table for c in steps]
+    return table
+
+
+def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
+    """Yields (dim, packed rows, image-sum dim) for every subspace of one
+    Schubert cell, free entries in lexicographic order.
+
+    With s = len(pivots), the prefix is the free values of rows 0..s-2,
+    plus the leading free values of the last row when it has more than a
+    lookup table covers.  spans[r] is the span of the images of rows
+    0..r-1; after each step it is rebuilt from the first row whose value
+    changed, and no span grows past need[s].  Each subspace then adds only the images of its last row, read
+    from per-map tables built once per cell (once per prefix when the last
+    row is split), and only when some subspace needs them.
+    """
+    p, n = fam.field.modulus, fam.n
+    vec = vectors(p)
+    pack, combine = vec.pack, vec.combine
+    d = len(pivots)
+    last = d - 1
+    row_free = [[c for i, c in free if i == r] for r in range(d)]
+    width = 0
+    while p ** (width + 1) <= _TABLE_CAP:
+        width += 1
+    split = max(0, len(row_free[last]) - width)
+    head, tail = row_free[last][:split], row_free[last][split:]
+    units = [pack(tuple(int(j == c) for j in range(n))) for c in range(n)]
+    steps = [pack((1, a)) for a in range(p)]
+    choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in row_free[r]])
+               for r in range(last)]
+    choices.append(list(itertools.product(range(p), repeat=len(head))))
+    spans = [make_row_span(p)] * d
+    prev, key = (None,) * d, None
+    for choice in itertools.product(*choices):
+        target = need[d]
+        r = 0
+        while choice[r] == prev[r]:
+            r += 1
+        prev = choice
+        for k in range(r, last):
+            span = spans[k]
+            if span.dim < target:
+                span = span.copy()
+                for cols in maps_cols:
+                    if span.add(combine(choice[k], cols)) is not None and span.dim >= target:
+                        break
+            spans[k + 1] = span
+        if choice[last] != key:
+            key = choice[last]
+            base = combine(pack((1,) + key), [units[c] for c in (pivots[last], *head)])
+            lasts = _lex_table(combine, steps, base, [units[c] for c in tail])
+            tables = None
+        rows = choice[:last]
+        span = spans[last]
+        reached = span.dim
+        for x, row in enumerate(lasts):
+            a = reached
+            if a < target:
+                if tables is None:
+                    tables = [_lex_table(combine, steps, combine(base, cols),
+                                         [cols[c] for c in tail]) for cols in maps_cols]
+                grown = span.copy()
+                for table in tables:
+                    if grown.add(table[x]) is not None and grown.dim >= target:
+                        break
+                a = grown.dim
+            yield d, rows + (row,), a
+            target = need[d]
+
+
 # ----------------------------------------------------------------------
 # the scan: image sums over a whole Grassmannian or over seeded draws
 # ----------------------------------------------------------------------
 
 
-def _image_sums(fam: MapFamily, dims: Sequence[int], samples: int | None,
+def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                 seed: int | None, enumeration_cap: int, stage: str):
-    """Yields (dim, subspace, image-sum dim) for each dimension in `dims`.
+    """Yields (dim, packed basis rows, image-sum dim) for each dimension of
+    `need`, in its order.
+
+    need[d] is the image-sum dim a dim-d subspace has to reach: a subspace
+    that reaches it may be reported with any value >= need[d], and one below
+    it with its exact value.  The caller may lower need[d] between items.
 
     Exhaustive mode (samples None) checks the enumeration budget of all dims
-    before any work, then walks each Grassmannian in canonical order, so the
-    first subspace a caller picks is the canonical first.  Sampled mode draws
-    `samples` subspaces per dimension from one RNG seeded with `seed`.
+    before any work, then walks each Grassmannian cell by cell in canonical
+    order (`_cell_scan`), so the first subspace a caller picks is the
+    canonical first.  Sampled mode draws `samples` subspaces per dimension
+    from one RNG seeded with `seed` and reports exact values.
     """
     p = fam.field.modulus
     if samples is None:
-        total = sum(grassmann_count(fam.n, d, p) for d in dims)
+        total = sum(grassmann_count(fam.n, d, p) for d in need)
         if total > enumeration_cap:
             raise BudgetExceeded(stage, total, enumeration_cap)
-    else:
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        rng = random.Random(seed)
-    image_sum = _make_imagesum(fam)
-    for d in dims:
-        if samples is None:
+        maps_cols = _map_columns(fam, vectors(p).pack)
+        for d in need:
             for pivots, free, _ in subspace_cells(fam.n, d, p):
-                for sub in cell_subspaces(fam.field, fam.n, pivots, free):
-                    yield d, sub, image_sum(sub)
-        else:
-            for _ in range(samples):
-                sub = sample_with_rng(fam.n, d, fam.field, rng)
-                yield d, sub, image_sum(sub)
+                yield from _cell_scan(fam, maps_cols, pivots, free, need)
+        return
+    if seed is None:
+        raise ValueError("sampled mode requires a seed")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    rng = random.Random(seed)
+    pack = vectors(p).pack
+    image_sum = _make_imagesum(fam)
+    for d in need:
+        for _ in range(samples):
+            sub = sample_with_rng(fam.n, d, fam.field, rng)
+            yield d, tuple(pack(sub.basis.row(i)) for i in range(d)), image_sum(sub)
+
+
+def _subspace(fam: MapFamily, rows) -> Subspace:
+    """The validated subspace whose canonical basis has these packed rows."""
+    unpack = vectors(fam.field.modulus).unpack
+    entries = tuple(x for r in rows for x in unpack(r, fam.n))
+    return Subspace(fam.field, fam.n, Matrix(fam.field, len(rows), fam.n, entries))
 
 
 def _first_violation(fam: MapFamily, thresholds: dict[int, int], samples: int | None,
@@ -367,21 +477,28 @@ def _first_violation(fam: MapFamily, thresholds: dict[int, int], samples: int | 
     exhaustive = samples is None
     if exhaustive:
         seed = None
-    for d, sub, a in _image_sums(fam, sorted(thresholds), samples, seed,
-                                 enumeration_cap, stage):
+    need = dict(sorted(thresholds.items()))
+    for d, rows, a in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
         if a < thresholds[d]:
-            return SpreadingResult(False, exhaustive, sub, a, samples=samples, seed=seed)
+            return SpreadingResult(False, exhaustive, _subspace(fam, rows), a,
+                                   samples=samples, seed=seed)
     return SpreadingResult(True, exhaustive, samples=samples, seed=seed)
 
 
 def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int | None,
             enumeration_cap: int, stage: str) -> dict[int, tuple[int, Subspace]]:
-    """{dim: (least image-sum dim, first subspace attaining it)}."""
-    out: dict[int, tuple[int, Subspace]] = {}
-    for d, sub, a in _image_sums(fam, dims, samples, seed, enumeration_cap, stage):
-        if d not in out or a < out[d][0]:
-            out[d] = (a, sub)
-    return out
+    """{dim: (least image-sum dim, first subspace attaining it)}.
+
+    Once a dimension has a minimum, a subspace only needs to reach it to be
+    ruled out, so the scan counts no further.
+    """
+    need = {d: fam.n for d in dims}
+    best: dict[int, tuple[int, tuple]] = {}
+    for d, rows, a in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
+        if d not in best or a < best[d][0]:
+            best[d] = (a, rows)
+            need[d] = a
+    return {d: (a, _subspace(fam, rows)) for d, (a, rows) in best.items()}
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +609,8 @@ def verify_large_expansion(
     its maps (ClosureViolation otherwise), and to actually be a tau-expander;
     the expander precondition is verified when its enumeration fits the cap
     and skipped otherwise.  Each scanned subspace's achieved growth delta is
-    recorded next to the sharper bound tau(1-a)/((1+tau)a) for inspection.
+    recorded next to the sharper bound tau(1-a)/((1+tau)a) for inspection;
+    subspaces with the same (dim, image-sum dim) share one record object.
     """
     tau = Fraction(tau)
     if tau <= 0:
@@ -518,13 +636,18 @@ def verify_large_expansion(
     thresholds = {d: _ceil_fraction((1 + tau * (1 - Fraction(d, n)) / 2) * d) for d in dims}
     sharper = {d: (tau * (1 - Fraction(d, n))) / ((1 + tau) * Fraction(d, n)) for d in dims}
     records = []
+    shared: dict[tuple[int, int], LargeExpansionRecord] = {}
     hit = None
-    for d, sub, a in _image_sums(fam, dims, None, None, enumeration_cap,
-                                 "large-subspace expansion"):
-        delta = Fraction(a, d) - 1
-        records.append(LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d]))
+    for d, rows, a in _image_sums(fam, {d: n for d in dims}, None, None, enumeration_cap,
+                                  "large-subspace expansion"):
+        rec = shared.get((d, a))
+        if rec is None:
+            delta = Fraction(a, d) - 1
+            rec = LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d])
+            shared[(d, a)] = rec
+        records.append(rec)
         if hit is None and a < thresholds[d]:
-            hit = (sub, a)
+            hit = (_subspace(fam, rows), a)
     if hit is None:
         return LargeExpansionResult(True, None, None, tuple(records))
     return LargeExpansionResult(False, *hit, tuple(records))

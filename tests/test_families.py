@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from dimspread.families import (
     words,
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix
+from dimspread.subspace import grassmann_count
 
 F3 = FieldSpec(3)
 
@@ -419,3 +421,27 @@ def test_thread_count_does_not_change_results():
     assert verify_large_expansion(shifts, Fraction(1, 2), threads=1) == (
         verify_large_expansion(shifts, Fraction(1, 2), threads=4)
     )
+
+
+def test_large_expansion_records_are_shared():
+    # one record object per distinct (dim, image-sum dim), one entry per subspace
+    fam = matching_maps(shift_matchings(6), GF2)
+    res = verify_large_expansion(fam, Fraction(1, 4), check_expander=False)
+    assert len(res.records) == grassmann_count(6, 4, 2) + grassmann_count(6, 5, 2)
+    pairs = {(rec.dim, rec.image_sum_dim) for rec in res.records}
+    assert len({id(rec) for rec in res.records}) == len(pairs)
+
+
+def test_last_row_tables_stay_under_the_cap():
+    # GF(2) n=16 at s=1: the pivot-0 cell's last row has 15 free entries.  A
+    # whole-row table of images would hold 2**15 vectors per map; its list
+    # slots alone take 2**15 * D * 8 bytes.
+    fam = matching_maps(shift_matchings(16), GF2)
+    tracemalloc.start()
+    try:
+        res = verify_spreading(fam, SpreadingParams(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verified
+    assert peak < 2**15 * len(fam.maps) * 8

@@ -20,7 +20,6 @@ from dimspread.gfp import (
     solve,
     unpack_bits,
     vectors,
-    _rref_dense,
 )
 
 F3 = FieldSpec(3)
@@ -196,17 +195,33 @@ def test_bit_packing_roundtrip():
         assert list(unpack_bits(pack_bits(v), w)) == v
 
 
+def xor_rref(rows, cols):
+    """Reference GF(2) Gauss-Jordan on rows packed as ints (bit j = column j):
+    first pivot row in column order, eliminated above and below."""
+    work = [sum(x << j for j, x in enumerate(r)) for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i] >> c & 1), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        for i in range(len(work)):
+            if i != r and work[i] >> c & 1:
+                work[i] ^= work[r]
+        pivots.append(c)
+    entries = tuple(w >> j & 1 for w in work for j in range(cols))
+    return entries, len(pivots), tuple(pivots)
+
+
 def test_gf2_paths_agree():
-    # the packed GF(2) elimination and the generic dense path must match
+    # rref over GF(2) must match an independent packed-XOR elimination
     rng = random.Random(13)
     for _ in range(80):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         m = rand_matrix(GF2, rows, cols, rng)
-        fast = rref(m)  # dispatches to the bit path for p == 2
-        work, rank, pivots = _rref_dense(m.row_lists(), cols, 2)
-        assert fast.rank == rank
-        assert fast.pivots == tuple(pivots)
-        assert fast.matrix.entries == tuple(x for r in work for x in r)
+        red = rref(m)
+        assert (red.matrix.entries, red.rank, red.pivots) == xor_rref(m.row_lists(), cols)
 
 
 def test_row_span_incremental():

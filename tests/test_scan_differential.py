@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import dimspread.families as families_module
 from dimspread.families import (
     ExpansionReport,
     LargeExpansionRecord,
@@ -19,6 +20,8 @@ from dimspread.families import (
     MapFamily,
     SpreadingParams,
     SpreadingResult,
+    dyadic_matchings,
+    matching_maps,
     measure_expansion,
     spreading_profile,
     symmetrize,
@@ -27,7 +30,13 @@ from dimspread.families import (
     verify_spreading,
 )
 from dimspread.gfp import FieldSpec, Matrix
-from dimspread.subspace import Subspace, apply_map, enumerate_subspaces, sample_with_rng
+from dimspread.subspace import (
+    Subspace,
+    apply_map,
+    enumerate_subspaces,
+    sample_with_rng,
+    span_of,
+)
 
 CASES = [(FieldSpec(2), n) for n in (2, 3, 4)] + [
     (FieldSpec(p), n) for p in (3, 5) for n in (2, 3)
@@ -118,14 +127,16 @@ def expander_thresholds(n, tau):
     return {d: ceil((1 + tau) * d) for d in range(1, n // 2 + 1)}
 
 
-@over_families
-def test_exhaustive_scans_match_slow_route(fam):
+def check_exhaustive(fam, ts=None):
+    """Profile, measure, spreading at each s with t in `ts` (default: the
+    minimum and one above it), and the expander check, against the slow
+    route."""
     n = fam.n
     scan = list(slow_scan(fam, range(1, n + 1)))
     mins = minima(scan)
     assert spreading_profile(fam) == tuple((d, mins[d][0]) for d in range(1, n + 1))
     for s in range(1, n + 1):
-        for t in {mins[s][0], min(n, mins[s][0] + 1)}:
+        for t in ts or {mins[s][0], min(n, mins[s][0] + 1)}:
             want = expected_result(first_violation(scan, {s: t}))
             assert verify_spreading(fam, SpreadingParams(s, t)) == want
     low = [row for row in scan if row[0] <= n // 2]
@@ -135,9 +146,7 @@ def test_exhaustive_scans_match_slow_route(fam):
         assert verify_expander(fam, tau) == want
 
 
-@over_families
-def test_large_expansion_matches_slow_route(fam):
-    sym = symmetrize(fam)
+def check_large(sym):
     n = sym.n
     dims = range(n // 2 + 1, n)
     scan = list(slow_scan(sym, dims))
@@ -156,6 +165,16 @@ def test_large_expansion_matches_slow_route(fam):
         else:
             with pytest.raises(ValueError):
                 verify_large_expansion(sym, tau)
+
+
+@over_families
+def test_exhaustive_scans_match_slow_route(fam):
+    check_exhaustive(fam)
+
+
+@over_families
+def test_large_expansion_matches_slow_route(fam):
+    check_large(symmetrize(fam))
 
 
 @over_families
@@ -185,3 +204,86 @@ def test_exhaustive_results_carry_no_sampling_fields():
     assert (got.samples, got.seed) == (None, None)
     got = verify_expander(fam, Fraction(1, 2), seed=7)
     assert (got.samples, got.seed) == (None, None)
+
+
+# The scan kernel's own branches, beyond the small cases above.  Every
+# profile scans s = 1 (no prefix rows) and s = n (a last row with no free
+# entries); GF(2) n=5 gives last rows of up to four free entries; the
+# symmetrized families have five to seven maps, so the images of a prefix
+# alone can span the whole space and decide a block.
+def symmetrized_dyadic(field, n):
+    return symmetrize(matching_maps(dyadic_matchings(n), field))
+
+
+def kernel_families():
+    rng = random.Random(20251207)
+    yield sparse_family(FieldSpec(2), 5, rng)
+    yield sparse_family(FieldSpec(2), 5, rng)
+    yield symmetrized_dyadic(FieldSpec(2), 5)
+    yield symmetrize(sparse_family(FieldSpec(3), 4, rng))
+    yield symmetrized_dyadic(FieldSpec(5), 3)
+
+
+KERNEL_FAMILIES = list(kernel_families())
+over_kernel_families = pytest.mark.parametrize(
+    "fam", KERNEL_FAMILIES, ids=lambda f: f"p{f.field.modulus}n{f.n}D{len(f.maps)}")
+
+
+def prefix_spans_everything(fam):
+    """Some subspace of dim >= 2 whose first s-1 basis rows alone have
+    images spanning GF(p)^n."""
+    n = fam.n
+    for s in range(2, n + 1):
+        for sub in enumerate_subspaces(n, s, fam.field):
+            rows = Matrix(fam.field, s - 1, n, sub.basis.entries[:(s - 1) * n])
+            if slow_image_sum(fam, span_of(rows)) == n:
+                return True
+    return False
+
+
+def check_scan_order(fam):
+    """The exhaustive scan itself: subspaces in canonical order, exact image
+    sums below need[d], and at least need[d] otherwise."""
+    n = fam.n
+    dims = range(1, n + 1)
+    scan = list(slow_scan(fam, dims))
+    for t in range(n + 1):
+        got = list(families_module._image_sums(fam, {d: t for d in dims}, None, None,
+                                               10**6, "test"))
+        assert len(got) == len(scan)
+        for (d, rows, a), (want_d, want_sub, exact) in zip(got, scan):
+            assert (d, families_module._subspace(fam, rows)) == (want_d, want_sub)
+            assert a == exact if exact < t else a >= t
+
+
+def test_kernel_cases_reach_the_block_shortcut():
+    assert all(prefix_spans_everything(fam) for fam in KERNEL_FAMILIES
+               if len(fam.maps) >= 5)
+    assert sum(len(fam.maps) >= 5 for fam in KERNEL_FAMILIES) >= 3
+
+
+@over_kernel_families
+def test_kernel_matches_slow_route_at_every_threshold(fam):
+    # every t from 0 to n: a low t stops most subspaces after a few adds,
+    # t = n only at the full space; measure exercises the running-minimum exit
+    check_scan_order(fam)
+    check_exhaustive(fam, ts=range(fam.n + 1))
+
+
+@over_kernel_families
+def test_kernel_large_expansion_matches_slow_route(fam):
+    check_large(symmetrize(fam))
+
+
+@pytest.mark.parametrize("cap", (1, 4))
+@pytest.mark.parametrize("fam", [KERNEL_FAMILIES[0], KERNEL_FAMILIES[2], KERNEL_FAMILIES[3],
+                                 FAMILIES[-1]],
+                         ids=lambda f: f"p{f.field.modulus}n{f.n}D{len(f.maps)}")
+def test_split_last_rows_match_slow_route(fam, cap, monkeypatch):
+    # With the table cap at 1 every free entry of a last row joins the
+    # prefix; at 4 a GF(2) table covers two entries, a GF(3) one one and a
+    # GF(5) one none, so prefix and table share the last row.
+    monkeypatch.setattr(families_module, "_TABLE_CAP", cap)
+    check_scan_order(fam)
+    check_exhaustive(fam)
+    check_large(symmetrize(fam))
