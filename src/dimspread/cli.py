@@ -16,6 +16,7 @@ accepted for compatibility and changes nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -521,9 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parse_args leaves it unchanged,
+    # so every later call in the process reuses it.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as e:

@@ -5,7 +5,10 @@ The rank search walks combinations of projectively-normalized rank-one
 matrices and asks whether r of them span every slice; the least such r is
 the tensor rank.  The search is exhaustive over candidate classes, so both
 answers it returns are certificates: a witness decomposition when the rank
-is at most the cap, and a proof of "rank exceeds the cap" otherwise.
+is at most the cap, and a proof of "rank exceeds the cap" otherwise.  Once
+the span of the chosen matrices and the slices is full (dimension r), the
+rest of a branch is a basis completion in a linear matroid, which one
+greedy pass settles in place of a walk over its combinations.
 """
 
 from __future__ import annotations
@@ -207,6 +210,17 @@ def min_spanning_rank_ones(
     independent vectors and the joint span was pruned to dimension at most
     r, so it coincides with their span.
 
+    At a node whose joint span already has dimension r, any later pick
+    outside it would be pruned, so the remaining picks are candidates in
+    the joint span, independent of the chosen ones: a basis completion in
+    the linear matroid of those candidates with the chosen ones contracted.
+    A greedy pass in index order finds a completion exactly when one exists,
+    and the one it finds is the lexicographically first, which is the one
+    the walk over combinations would reach first.  So such a node takes one
+    pass over the pool instead of a walk over up to C(pool, r - depth)
+    combinations, and the witness is unchanged.  Every add to the span of
+    the chosen matrices counts as one step against step_cap.
+
     Returns (r, witness matrices), or None once the search has certified
     that the rank exceeds r_max.
     """
@@ -250,11 +264,41 @@ def min_spanning_rank_ones(
         joint = base.copy()
         chosen: list[int] = []
 
+        def complete(start: int) -> bool:
+            # joint.dim == r: the remaining picks are a basis completion of
+            # cur inside joint, and the greedy pass by index finds the first.
+            nonlocal steps
+            need = r - len(chosen)
+            toks = []
+            for i in range(start, pool_n):
+                if pool_n - i < need:
+                    break
+                v = pool_vecs[i]
+                if not joint.contains(v):
+                    continue
+                steps += 1
+                if steps > step_cap:
+                    raise BudgetExceeded("rank search", steps, step_cap)
+                tok = cur.add(v)
+                if tok is None:
+                    continue
+                chosen.append(i)
+                toks.append(tok)
+                need -= 1
+                if not need:
+                    return True
+            for tok in reversed(toks):
+                cur.remove(tok)
+            del chosen[len(chosen) - len(toks):]
+            return False
+
         def dfs(start: int) -> bool:
             nonlocal steps
             depth = len(chosen)
             if depth == r:
                 return True
+            if joint.dim == r:
+                return complete(start)
             last = pool_n - (r - depth) + 1
             for i in range(start, last):
                 steps += 1

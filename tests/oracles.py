@@ -5,7 +5,7 @@ no imports from the package under test, so a bug in the library cannot hide
 itself by infecting the check.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 
 def gaussian_binomial(n: int, s: int, p: int) -> int:
@@ -86,4 +86,49 @@ def direct_tensor_rank(entries, pool, pairs, p: int):
     for s in pairs:
         if tuple((e - v) % p for e, v in zip(entries, s)) in pairs:
             return 4
+    return None
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of a list of residue vectors, by Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        top = [(x * inv) % p for x in rows[rank]]
+        rows[rank] = top
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != rank and f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def lex_first_spanning_rank_ones(slices, p: int, d2: int, d3: int, r_max: int):
+    """Least r, and the first r-subset of rank-one d2 x d3 matrices in pool
+    order whose span contains every slice, or None if r would exceed r_max.
+
+    The pool is g h^T over projectively normalized g and h (g slowest), as
+    entry tuples; slices are entry tuples too.  Plain `combinations` in lex
+    order, so the subset returned is the lexicographically first by index.
+    At the least r every spanning r-subset is independent, since a dependent
+    one would contain a smaller spanning subset.
+    """
+    r0 = rank_mod_p(slices, p)
+    if r0 == 0:
+        return (0, ())
+    pool = [
+        tuple((gj * hk) % p for gj in g for hk in h)
+        for g in _projective_vectors(p, d2) for h in _projective_vectors(p, d3)
+    ]
+    for r in range(r0, r_max + 1):
+        for combo in combinations(pool, r):
+            if (rank_mod_p(list(combo) + list(slices), p) == r
+                    and rank_mod_p(combo, p) == r):
+                return (r, combo)
     return None

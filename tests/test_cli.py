@@ -234,6 +234,20 @@ def test_measure_frozen(run, tmp_path):
     )
 
 
+def test_parser_reuse_carries_no_options_between_calls(run, tmp_path):
+    # main keeps one parser per process; one call's option values must not
+    # reach the next call, not even from a call that failed to parse.
+    src = family_file(tmp_path, SYM2)
+    exhaustive = run("measure", src)
+    assert exhaustive[0] == 0 and "mode: exhaustive\n" in exhaustive[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", src, "--samples", "5", "--seed", "3", "--bogus"])
+    assert exc.value.code == 2
+    sampled = run("measure", src, "--samples", "5", "--seed", "3")
+    assert sampled[0] == 0 and "mode: sampled\n" in sampled[1]
+    assert run("measure", src) == exhaustive
+
+
 def test_build_tensor_command(run, tmp_path):
     src = family_file(tmp_path, SYM2)
     code, out, _ = run("build-tensor", src)
@@ -312,6 +326,24 @@ def test_tensor_rank_pool_budget_fires_before_the_pool_is_built(run, tmp_path):
     assert code == 3
     assert "budget exceeded in rank-one candidate pool" in err
     assert elapsed < 1.0
+
+
+def test_tensor_rank_step_budget_exit(run, tmp_path):
+    src = tmp_path / "i2.t3"
+    src.write_text(serialize_tensor(slice_tensor([I2])), encoding="ascii")
+
+    def hung(signum, frame):
+        raise TimeoutError("tensor-rank did not stop at its step budget")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, err = run("tensor-rank", str(src), "--r-max", "4", "--step-cap", "1")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and out == ""
+    assert err == "budget exceeded in rank search: needs 2, cap 1\n"
 
 
 def test_certify_command(run, tmp_path):

@@ -17,7 +17,13 @@ from dimspread.tensor import (
     tensor_rank,
     _rank_one_factors,
 )
-from oracles import direct_tensor_rank, pair_sums, rank_one_pool
+from oracles import (
+    direct_tensor_rank,
+    lex_first_spanning_rank_ones,
+    pair_sums,
+    rank_mod_p,
+    rank_one_pool,
+)
 
 F3 = FieldSpec(3)
 
@@ -147,6 +153,52 @@ def test_min_spanning_frozen_witness():
     ]
 
 
+def _low_rank_slices(field, d1, d2, d3, k, rng):
+    """d1 slices of a sum of k random rank-one terms."""
+    p = field.modulus
+    acc = [[0] * (d2 * d3) for _ in range(d1)]
+    for _ in range(k):
+        f = [rng.randrange(p) for _ in range(d1)]
+        gh = [gj * hk for gj in [rng.randrange(p) for _ in range(d2)]
+              for hk in [rng.randrange(p) for _ in range(d3)]]
+        for i in range(d1):
+            acc[i] = [(a + f[i] * x) % p for a, x in zip(acc[i], gh)]
+    return [Matrix(field, d2, d3, tuple(a)) for a in acc]
+
+
+def test_rank_search_matches_lex_first_oracle():
+    # (r, witness) must be the first spanning r-subset of the pool in index
+    # order, found by plain combinations over an independent elimination.
+    rng = random.Random(79)
+    cases = [([I2, N2, NT2], 4), ([I2], 4), ([I2, N2], 4), ([I2], 0)]
+    for p, d1, d2, d3, r_top in ((2, 2, 2, 3, 4), (2, 3, 2, 3, 4), (2, 1, 3, 3, 3),
+                                 (2, 2, 3, 3, 3), (3, 2, 2, 3, 3), (5, 2, 2, 2, 4)):
+        field = FieldSpec(p)
+        for trial in range(6):
+            if trial % 2:
+                slices = _low_rank_slices(field, d1, d2, d3, rng.randint(2, 3), rng)
+            else:
+                slices = [Matrix(field, d2, d3, tuple(rng.randrange(p) for _ in range(d2 * d3)))
+                          for _ in range(d1)]
+            cases.append((slices, rng.randint(1, r_top)))
+    seen = set()
+    for slices, r_max in cases:
+        p, d2, d3 = slices[0].field.modulus, slices[0].rows, slices[0].cols
+        entries = [m.entries for m in slices]
+        got = min_spanning_rank_ones(slices, r_max)
+        if got is not None:
+            got = (got[0], tuple(w.entries for w in got[1]))
+        assert got == lex_first_spanning_rank_ones(entries, p, d2, d3, r_max), (entries, r_max)
+        r0 = rank_mod_p(entries, p)
+        if got is None:
+            seen.add("r_max < r0" if r_max < r0 else "exhausted")
+        else:
+            seen.add("r == r0" if got[0] == r0 else "r > r0")
+    # r == r0: the joint span is full at depth 0; r > r0: the completion at
+    # depth 0 failed, and deeper ones fail and backtrack on the way to r.
+    assert seen == {"r == r0", "r > r0", "r_max < r0", "exhausted"}
+
+
 def test_min_spanning_zero_and_caps():
     assert min_spanning_rank_ones([Matrix.zeros(GF2, 2, 2)], 0) == (0, ())
     assert min_spanning_rank_ones([I2], 1) is None  # rank 2 certified above 1
@@ -167,9 +219,18 @@ def test_min_spanning_pool_budget():
 
 
 def test_min_spanning_step_budget():
+    # {I, N, N^T} over GF(2) with N the 3x3 shift has rank 6; proving
+    # rank > 5 takes far more than 5 steps.
+    n3 = Matrix.from_rows(GF2, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     with pytest.raises(BudgetExceeded) as exc:
-        min_spanning_rank_ones([I2, N2, NT2], 4, step_cap=5)
+        min_spanning_rank_ones([Matrix.identity(GF2, 3), n3, n3.transpose()], 5, step_cap=5)
     assert exc.value.stage == "rank search"
+    # {I, N, N^T} is found in exactly 3 steps, on the cap's boundary.
+    assert min_spanning_rank_ones([I2, N2, NT2], 4, step_cap=3) == (
+        min_spanning_rank_ones([I2, N2, NT2], 4))
+    with pytest.raises(BudgetExceeded) as exc:
+        min_spanning_rank_ones([I2, N2, NT2], 4, step_cap=2)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("rank search", 3, 2)
 
 
 def test_rank_one_factors():
