@@ -188,21 +188,27 @@ def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFam
 
     Order is canonical: lexicographic in the index word (i1, ..., it), first
     occurrence kept.  Duplicate prefixes are collapsed level by level, which
-    provably preserves that order.  The budget applies to the nominal D**t
-    product count, before deduplication.
+    provably preserves that order.  The budget applies to the total number of
+    words formed: D at length 1, then (distinct words of the level below) * D
+    for each later level, checked before the level is built.  Every level
+    keeps at least one word, so t * D > word_cap fails at once.  The nominal
+    D**t is never formed.
     """
     if t < 1:
         raise ValueError("word length must be at least 1")
     d = len(fam.maps)
-    nominal = d**t
-    if nominal > word_cap:
-        raise BudgetExceeded("word expansion", nominal, word_cap)
+    if t * d > word_cap:
+        raise BudgetExceeded("word expansion", t * d, word_cap)
     vec = vectors(fam.field.modulus)
     pack, combine = vec.pack, vec.combine
     n = fam.n
     mats = [tuple(pack(m.row(i)) for i in range(n)) for m in fam.maps]
     level = list(dict.fromkeys(mats))
+    formed = d
     for _ in range(t - 1):
+        formed += len(level) * d
+        if formed > word_cap:
+            raise BudgetExceeded("word expansion", formed, word_cap)
         level = list(dict.fromkeys(
             tuple(combine(r, b) for r in a) for a in level for b in mats
         ))

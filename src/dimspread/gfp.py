@@ -400,6 +400,14 @@ class Gf2RowSpan:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
+    def line_key(self, v: int) -> int:
+        """The residue of v, 0 exactly when v is in the span.
+
+        Keys of u and w agree exactly when span + <u> == span + <w> for u, w
+        outside the span; over GF(2) every nonzero residue is its own line.
+        """
+        return self.reduce(v)
+
     def add(self, v: int):
         v = self.reduce(v)
         if v == 0:
@@ -447,6 +455,21 @@ class ModRowSpan:
 
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
+
+    def line_key(self, v):
+        """The residue of v scaled to a unit first nonzero entry, or 0 in the span.
+
+        Keys of u and w agree exactly when span + <u> == span + <w> for u, w
+        outside the span: their residues then differ by a nonzero factor.
+        """
+        v = self.reduce(v)
+        for x in v:
+            if x:
+                if x == 1:
+                    return tuple(v)
+                inv = pow(x, self.p - 2, self.p)
+                return tuple((y * inv) % self.p for y in v)
+        return 0
 
     def add(self, v):
         v = self.reduce(v)

@@ -8,12 +8,15 @@ answers it returns are certificates: a witness decomposition when the rank
 is at most the cap, and a proof of "rank exceeds the cap" otherwise.  Once
 the span of the chosen matrices and the slices is full (dimension r), the
 rest of a branch is a basis completion in a linear matroid, which one
-greedy pass settles in place of a walk over its combinations.
+greedy pass settles in place of a walk over its combinations.  The
+candidates of that pass are found by lookup: a node one dimension short
+reduces the pool once and groups it by the line of each residue.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -217,9 +220,19 @@ def min_spanning_rank_ones(
     A greedy pass in index order finds a completion exactly when one exists,
     and the one it finds is the lexicographically first, which is the one
     the walk over combinations would reach first.  So such a node takes one
-    pass over the pool instead of a walk over up to C(pool, r - depth)
-    combinations, and the witness is unchanged.  Every add to the span of
-    the chosen matrices counts as one step against step_cap.
+    pass instead of a walk over up to C(pool, r - depth) combinations, and
+    the witness is unchanged.
+
+    The pass needs the pool indices inside the joint span.  A node whose
+    joint span J has dimension r - 1 reduces each later pool vector once
+    modulo J and groups the indices by the line of the residue (`line_key`:
+    the residue itself over GF(2), scaled to a unit first entry over odd p).
+    A pick v outside J makes J + <v> full, and w lies in it exactly when
+    w's residue is zero or on v's line; so the pass walks the indices after
+    v with key 0 or key(v), merged in index order, and makes no membership
+    test.  Picks with key 0 leave J unchanged and share the node's table.
+    Every add to the span of the chosen matrices counts as one step against
+    step_cap, in the order the walk over combinations would make them.
 
     Returns (r, witness matrices), or None once the search has certified
     that the rank exceeds r_max.
@@ -264,22 +277,23 @@ def min_spanning_rank_ones(
         joint = base.copy()
         chosen: list[int] = []
 
-        def complete(start: int) -> bool:
-            # joint.dim == r: the remaining picks are a basis completion of
-            # cur inside joint, and the greedy pass by index finds the first.
+        def complete(cands) -> bool:
+            # span(chosen) + span(slices) has dimension r and cands are the
+            # remaining pool indices inside it, ascending: the remaining picks
+            # are a basis completion of cur among them, and the greedy pass by
+            # index finds the first.
             nonlocal steps
             need = r - len(chosen)
+            if not need:
+                return True
             toks = []
-            for i in range(start, pool_n):
+            for i in cands:
                 if pool_n - i < need:
                     break
-                v = pool_vecs[i]
-                if not joint.contains(v):
-                    continue
                 steps += 1
                 if steps > step_cap:
                     raise BudgetExceeded("rank search", steps, step_cap)
-                tok = cur.add(v)
+                tok = cur.add(pool_vecs[i])
                 if tok is None:
                     continue
                 chosen.append(i)
@@ -292,33 +306,65 @@ def min_spanning_rank_ones(
             del chosen[len(chosen) - len(toks):]
             return False
 
-        def dfs(start: int) -> bool:
+        def residues(start: int):
+            # joint.dim == r - 1: a pick i raises it to r exactly when its key
+            # is nonzero, and then a later index j lies in the new joint span
+            # exactly when key j is 0 or equals key i.
+            keys = [0] * start + [joint.line_key(v) for v in pool_vecs[start:]]
+            zeros: list[int] = []
+            lines: dict = {}
+            for j in range(start, pool_n):
+                k = keys[j]
+                if k:
+                    lines.setdefault(k, []).append(j)
+                else:
+                    zeros.append(j)
+            return keys, zeros, lines
+
+        def dfs(start: int, table) -> bool:
             nonlocal steps
             depth = len(chosen)
             if depth == r:
                 return True
-            if joint.dim == r:
-                return complete(start)
+            if table is None and joint.dim == r - 1:
+                table = residues(start)
+            if table is not None:
+                keys, zeros, lines = table
             last = pool_n - (r - depth) + 1
             for i in range(start, last):
                 steps += 1
                 if steps > step_cap:
                     raise BudgetExceeded("rank search", steps, step_cap)
-                tok_c = cur.add(pool_vecs[i])
+                v = pool_vecs[i]
+                tok_c = cur.add(v)
                 if tok_c is None:
                     continue
-                tok_j = joint.add(pool_vecs[i])
-                if joint.dim <= r:
-                    chosen.append(i)
-                    if dfs(i + 1):
+                chosen.append(i)
+                if table is None:
+                    # joint.dim < r - 1, so no pick can take it past r here.
+                    tok_j = joint.add(v)
+                    if dfs(i + 1, None):
                         return True
-                    chosen.pop()
-                if tok_j is not None:
-                    joint.remove(tok_j)
+                    if tok_j is not None:
+                        joint.remove(tok_j)
+                else:
+                    k = keys[i]
+                    if k:
+                        line = lines[k]
+                        cands = sorted(zeros[bisect_right(zeros, i):]
+                                       + line[bisect_right(line, i):])
+                        if complete(cands):
+                            return True
+                    elif dfs(i + 1, table):
+                        return True
+                chosen.pop()
                 cur.remove(tok_c)
             return False
 
-        if dfs(0):
+        if joint.dim == r:
+            members = (i for i in range(pool_n) if joint.contains(pool_vecs[i]))
+            return tuple(chosen) if complete(members) else None
+        if dfs(0, None):
             return tuple(chosen)
         return None
 

@@ -140,11 +140,53 @@ def test_words_command(run, tmp_path):
 
 
 def test_words_budget_exit(run, tmp_path):
+    # The cap bounds the words formed in all: SYM2 has 3 distinct words of
+    # length 1 and 6 of every longer length, so length 2 forms 3 + 3 * 3 and
+    # length 3 forms 12 + 6 * 3; length 30 forms 516 of 3**30 nominal words.
     src = family_file(tmp_path, SYM2)
-    code, out, err = run("words", src, "--length", "30")
+    code, out, err = run("words", src, "--length", "2", "--word-cap", "11")
     assert code == 3 and out == ""
-    assert "budget exceeded in word expansion" in err
-    assert f"needs {3**30}" in err
+    assert "budget exceeded in word expansion: needs 12, cap 11" in err
+    assert run("words", src, "--length", "2", "--word-cap", "12")[0] == 0
+    code, out, err = run("words", src, "--length", "3", "--word-cap", "29")
+    assert code == 3 and "needs 30, cap 29" in err
+    code, out, err = run("words", src, "--length", "1", "--word-cap", "2")
+    assert code == 3 and "needs 3, cap 2" in err
+    code, out, _ = run("words", src, "--length", "30")
+    assert code == 0 and len(parse_map_family(out).maps) == 6
+
+
+def test_words_budget_exit_is_immediate_for_long_words(run, tmp_path):
+    # Every level keeps at least one word, so length t forms at least t * D:
+    # 10**9 levels of 18 products each must be refused before any is built.
+    src = family_file(tmp_path, SYM2)
+
+    def hung(signum, frame):
+        raise TimeoutError("words did not stop at its budget")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, err = run("words", src, "--length", str(10**9))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and out == ""
+    assert f"budget exceeded in word expansion: needs {3 * 10**9}, cap {10**6}" in err
+
+
+def test_pipeline_shift8_fits_the_word_budget(run, tmp_path):
+    # Word length 13 over 3 maps is 3**13 nominal words, above the default
+    # cap, but deduplicated levels (at most 197 distinct words) form 2703.
+    path = str(tmp_path / "s8.maps")
+    assert run("build-maps", "--kind", "shifts", "--n", "8", "--out", path)[0] == 0
+    code, out, err = run("pipeline", path, "--epsilon", "1/2")
+    assert (code, err) == (0, "")
+    for line in ("word_length: 13", "word_count: 197", "certified_bound: 8",
+                 "verdict: certified"):
+        assert line in out.splitlines()
+    code, _, err = run("pipeline", path, "--epsilon", "1/2", "--word-cap", "2702")
+    assert code == 3 and "needs 2703, cap 2702" in err
 
 
 def test_verify_spreading_holds_frozen(run, tmp_path):

@@ -134,9 +134,18 @@ def test_words_order_matches_brute_force():
 
 
 def test_words_budget():
+    # The cap bounds the words formed in all, D at length 1 plus (distinct
+    # words below) * D per level, not the nominal D**t: 3**13 > 10**6, but
+    # SYM2 keeps 6 distinct words per level and forms 3 + 9 + 11 * 18 = 210.
+    assert len(words(SYM2, 13).maps) == 6
     with pytest.raises(BudgetExceeded) as exc:
-        words(SYM2, 13)  # 3**13 > 10**6
-    assert exc.value.needed == 3**13
+        words(SYM2, 13, word_cap=209)
+    assert (exc.value.needed, exc.value.cap) == (210, 209)
+    assert len(words(SYM2, 13, word_cap=210).maps) == 6
+    # At least one word per level: t * D words, refused before any level.
+    with pytest.raises(BudgetExceeded) as exc:
+        words(SYM2, 10**9)
+    assert exc.value.needed == 3 * 10**9
     with pytest.raises(ValueError):
         words(SYM2, 0)
 

@@ -278,6 +278,44 @@ def test_field_vectors_match_the_matrix_layer(p):
         assert span.dim == rref(m).rank
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_key_decides_membership_in_span_plus_one_vector(p):
+    # w lies in J + <v> exactly when key(w) is 0 or key(v), checked by rref
+    # rank; and key(c v) == key(v) for every nonzero c.
+    field = FieldSpec(p)
+    vec = vectors(p)
+    rng = random.Random(200 + p)
+    agree = set()
+    for _ in range(80):
+        width, k = rng.randrange(1, 7), rng.randrange(0, 4)
+        basis = [[rng.randrange(p) for _ in range(width)] for _ in range(k)]
+        span = make_row_span(p)
+        for row in basis:
+            span.add(vec.pack(row))
+        v = [rng.randrange(p) for _ in range(width)]
+        key_v = span.line_key(vec.pack(v))
+        for c in range(1, p):
+            assert span.line_key(vec.pack([(c * x) % p for x in v])) == key_v
+        for _ in range(8):
+            if rng.randrange(2):
+                # c v plus a combination of J: always in J + <v>
+                c = rng.randrange(p)
+                w = [c * x for x in v]
+                for row in basis:
+                    a = rng.randrange(p)
+                    w = [x + a * y for x, y in zip(w, row)]
+                w = [x % p for x in w]
+            else:
+                w = [rng.randrange(p) for _ in range(width)]
+            key_w = span.line_key(vec.pack(w))
+            rank_jv = rref(Matrix.from_rows(field, basis + [v], cols=width)).rank
+            inside = rref(Matrix.from_rows(field, basis + [v, w], cols=width)).rank == rank_jv
+            assert inside == (not key_w or key_w == key_v), (basis, v, w)
+            agree.add((inside, bool(key_w), bool(key_v)))
+    # every branch of the equivalence was reached
+    assert {(True, False, False), (True, True, True), (False, True, True)} <= agree
+
+
 def test_only_gfp_dispatches_on_the_modulus():
     # The vector representation of each field is decided in gfp alone.
     pattern = re.compile(r"\b(p|modulus)\s*==\s*2")

@@ -159,6 +159,21 @@ def _low_rank_slices(field, d1, d2, d3, k, rng):
     acc = [[0] * (d2 * d3) for _ in range(d1)]
     for _ in range(k):
         f = [rng.randrange(p) for _ in range(d1)]
+        g = [rng.randrange(p) for _ in range(d2)]
+        h = [rng.randrange(p) for _ in range(d3)]
+        gh = [gj * hk for gj in g for hk in h]
+        for i in range(d1):
+            acc[i] = [(a + f[i] * x) % p for a, x in zip(acc[i], gh)]
+    return [Matrix(field, d2, d3, tuple(a)) for a in acc]
+
+
+def _row_scaled_slices(field, d1, d2, d3, k, rng):
+    """d1 slices of a sum of k terms f (x) M, where row j of M is g_j * h_j
+    with a fresh h_j per row, so each term has slice rank up to d2."""
+    p = field.modulus
+    acc = [[0] * (d2 * d3) for _ in range(d1)]
+    for _ in range(k):
+        f = [rng.randrange(p) for _ in range(d1)]
         gh = [gj * hk for gj in [rng.randrange(p) for _ in range(d2)]
               for hk in [rng.randrange(p) for _ in range(d3)]]
         for i in range(d1):
@@ -166,7 +181,13 @@ def _low_rank_slices(field, d1, d2, d3, k, rng):
     return [Matrix(field, d2, d3, tuple(a)) for a in acc]
 
 
-def test_rank_search_matches_lex_first_oracle():
+def _dense_slices(field, d1, d2, d3, rng):
+    p = field.modulus
+    return [Matrix(field, d2, d3, tuple(rng.randrange(p) for _ in range(d2 * d3)))
+            for _ in range(d1)]
+
+
+def _check_against_lex_first_oracle(structured_slices):
     # (r, witness) must be the first spanning r-subset of the pool in index
     # order, found by plain combinations over an independent elimination.
     rng = random.Random(79)
@@ -176,10 +197,9 @@ def test_rank_search_matches_lex_first_oracle():
         field = FieldSpec(p)
         for trial in range(6):
             if trial % 2:
-                slices = _low_rank_slices(field, d1, d2, d3, rng.randint(2, 3), rng)
+                slices = structured_slices(field, d1, d2, d3, rng.randint(2, 3), rng)
             else:
-                slices = [Matrix(field, d2, d3, tuple(rng.randrange(p) for _ in range(d2 * d3)))
-                          for _ in range(d1)]
+                slices = _dense_slices(field, d1, d2, d3, rng)
             cases.append((slices, rng.randint(1, r_top)))
     seen = set()
     for slices, r_max in cases:
@@ -197,6 +217,48 @@ def test_rank_search_matches_lex_first_oracle():
     # r == r0: the joint span is full at depth 0; r > r0: the completion at
     # depth 0 failed, and deeper ones fail and backtrack on the way to r.
     assert seen == {"r == r0", "r > r0", "r_max < r0", "exhausted"}
+
+
+def test_rank_search_matches_lex_first_oracle():
+    _check_against_lex_first_oracle(_row_scaled_slices)
+
+
+def test_rank_search_matches_lex_first_oracle_on_rank_k_sums():
+    _check_against_lex_first_oracle(_low_rank_slices)
+
+
+# (seed, p, d1, d2, d3, k, r_max) -> (rank or None, steps): k rank-one terms,
+# or dense random slices when k is 0.  Recorded before the search closed
+# branches by residue lookup; one step is one add to the span of the chosen
+# matrices, a public budget (step_cap).
+PINNED_STEPS = [
+    ((101, 2, 3, 4, 4, 5, 6), (5, 5827)),  # pool 225
+    ((110, 2, 3, 4, 4, 5, 4), (None, 474)),  # pool 225, rank > 4 certified
+    ((104, 2, 4, 3, 3, 0, 6), (6, 270)),
+    ((2, 2, 2, 3, 3, 0, 6), (4, 79)),
+    ((102, 3, 2, 3, 3, 0, 6), (4, 220)),
+    ((102, 3, 2, 3, 3, 0, 3), (None, 173)),
+    ((101, 5, 2, 2, 4, 0, 6), (4, 1046)),
+    ((122, 5, 2, 2, 3, 3, 6), (3, 32)),
+]
+
+
+@pytest.mark.parametrize("case, expect", PINNED_STEPS)
+def test_rank_search_step_counts_are_pinned(case, expect):
+    # The search succeeds with step_cap = steps and raises one below it.
+    seed, p, d1, d2, d3, k, r_max = case
+    rank, steps = expect
+    rng = random.Random(seed)
+    field = FieldSpec(p)
+    if k:
+        slices = _low_rank_slices(field, d1, d2, d3, k, rng)
+    else:
+        slices = _dense_slices(field, d1, d2, d3, rng)
+    got = min_spanning_rank_ones(slices, r_max, step_cap=steps)
+    assert (None if got is None else got[0]) == rank
+    with pytest.raises(BudgetExceeded) as exc:
+        min_spanning_rank_ones(slices, r_max, step_cap=steps - 1)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("rank search", steps, steps - 1)
 
 
 def test_min_spanning_zero_and_caps():
