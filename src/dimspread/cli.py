@@ -424,7 +424,7 @@ def _add_run_options(sp: argparse.ArgumentParser, *, sampled: bool = True) -> No
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; scans run in one thread")
     sp.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                    help="max subspaces an exhaustive scan may enumerate")
+                    help="max subspaces a scan may enumerate or draw")
     if sampled:
         sp.add_argument("--samples", type=int, default=None,
                         help="sampled mode: number of random subspaces per dimension")

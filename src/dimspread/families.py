@@ -6,7 +6,9 @@ All verdicts are exact.  Exhaustive runs enumerate Grassmannians in the
 canonical order defined in `subspace`; sampled runs draw from a seeded RNG
 and are reproducible from (seed, count) alone.  A sampled counterexample is
 conclusive; a sampled "verified" only means no counterexample was found and
-is flagged as non-conclusive.
+is flagged as non-conclusive.  Both modes are budgeted by one cap before any
+work: the Gaussian binomials of the scanned dimensions when exhaustive, the
+number of draws when sampled.
 
 Exhaustive scans walk each Grassmannian one Schubert cell at a time on
 packed basis rows (`_cell_scan`).  The span of the images of rows 0..s-2
@@ -16,9 +18,13 @@ from per-map lookup tables of at most `_TABLE_CAP` entries (a longer last
 row moves its leading free entries into the prefix).  Adding stops as soon
 as the span reaches what the caller needs: the threshold when verifying,
 the least value found so far when measuring, n for the large-subspace
-records.  A `Subspace` is built only for the counterexample or witness
-reported, which is the same canonical first one a subspace-by-subspace walk
-finds.
+records.  A prefix span one short of the need only tests the last row's
+images for membership, up to the first one outside it.  A `Subspace` is
+built only for the counterexample or witness reported, which is the same
+canonical first one a subspace-by-subspace walk finds.
+
+Sampled scans add each draw's images, map by map, under the same rule, so
+a draw that reaches the need costs no more adds than it takes to get there.
 
 Every scan runs in one thread.  The verifiers still accept `threads=` for
 compatibility; it changes nothing.
@@ -329,26 +335,6 @@ def _map_columns(fam: MapFamily, pack) -> list[tuple]:
     return [tuple(pack(m.entries[j::n]) for j in range(n)) for m in fam.maps]
 
 
-def _make_imagesum(fam: MapFamily):
-    """Returns f(subspace) -> dim(sum of images)."""
-    p = fam.field.modulus
-    n = fam.n
-    vec = vectors(p)
-    pack, combine = vec.pack, vec.combine
-    maps_cols = _map_columns(fam, pack)
-
-    def image_sum(sub: Subspace) -> int:
-        basis = [pack(sub.basis.row(i)) for i in range(sub.dim)]
-        span = make_row_span(p)
-        for cols in maps_cols:
-            for v in basis:
-                if span.add(combine(v, cols)) is not None and span.dim == n:
-                    return n
-        return span.dim
-
-    return image_sum
-
-
 def _lex_table(combine, steps, base, gens) -> list:
     """base + sum of v[j] * gens[j] for every value vector v, in
     lexicographic order; steps[a] is the coefficient vector (1, a)."""
@@ -366,9 +352,12 @@ def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
     plus the leading free values of the last row when it has more than a
     lookup table covers.  spans[r] is the span of the images of rows
     0..r-1; after each step it is rebuilt from the first row whose value
-    changed, and no span grows past need[s].  Each subspace then adds only the images of its last row, read
-    from per-map tables built once per cell (once per prefix when the last
-    row is split), and only when some subspace needs them.
+    changed, and no span grows past need[s].  Each subspace then adds only
+    the images of its last row, read from per-map tables built once per cell
+    (once per prefix when the last row is split), and only when some
+    subspace needs them.  When the prefix span is exactly one short of the
+    need, the subspace reaches it iff some image lies outside that span, so
+    the images are only tested with `contains`, up to the first one outside.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
@@ -416,11 +405,17 @@ def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
                 if tables is None:
                     tables = [_lex_table(combine, steps, combine(base, cols),
                                          [cols[c] for c in tail]) for cols in maps_cols]
-                grown = span.copy()
-                for table in tables:
-                    if grown.add(table[x]) is not None and grown.dim >= target:
-                        break
-                a = grown.dim
+                if a == target - 1:
+                    for table in tables:
+                        if not span.contains(table[x]):
+                            a = target
+                            break
+                else:
+                    grown = span.copy()
+                    for table in tables:
+                        if grown.add(table[x]) is not None and grown.dim >= target:
+                            break
+                    a = grown.dim
             yield d, rows + (row,), a
             target = need[d]
 
@@ -442,8 +437,10 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     Exhaustive mode (samples None) checks the enumeration budget of all dims
     before any work, then walks each Grassmannian cell by cell in canonical
     order (`_cell_scan`), so the first subspace a caller picks is the
-    canonical first.  Sampled mode draws `samples` subspaces per dimension
-    from one RNG seeded with `seed` and reports exact values.
+    canonical first.  Sampled mode checks samples * len(need) draws against
+    the same budget, then draws `samples` subspaces per dimension from one
+    RNG seeded with `seed` (through the module name `sample_with_rng`, once
+    per draw) and adds their images until the span reaches need[d].
     """
     p = fam.field.modulus
     if samples is None:
@@ -459,13 +456,26 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
         raise ValueError("sampled mode requires a seed")
     if samples < 1:
         raise ValueError("samples must be positive")
+    total = samples * len(need)
+    if total > enumeration_cap:
+        raise BudgetExceeded(stage, total, enumeration_cap)
     rng = random.Random(seed)
-    pack = vectors(p).pack
-    image_sum = _make_imagesum(fam)
+    vec = vectors(p)
+    pack, combine = vec.pack, vec.combine
+    maps_cols = _map_columns(fam, pack)
     for d in need:
         for _ in range(samples):
             sub = sample_with_rng(fam.n, d, fam.field, rng)
-            yield d, tuple(pack(sub.basis.row(i)) for i in range(d)), image_sum(sub)
+            rows = tuple(pack(sub.basis.row(i)) for i in range(d))
+            target = need[d]
+            span = make_row_span(p)
+            for cols in maps_cols:
+                if span.dim >= target:
+                    break
+                for v in rows:
+                    if span.add(combine(v, cols)) is not None and span.dim >= target:
+                        break
+            yield d, rows, span.dim
 
 
 def _subspace(fam: MapFamily, rows) -> Subspace:

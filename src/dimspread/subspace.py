@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded
-from .gfp import FieldSpec, Matrix, kernel_basis, make_row_span, rref, vectors
+from .gfp import FieldSpec, Matrix, _rref_dense, kernel_basis, make_row_span, rref, vectors
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -258,9 +258,12 @@ def enumerate_subspaces(
 def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Subspace:
     """Uniform s-dimensional subspace drawn from an existing RNG stream.
 
-    Rejection sampling: draw s x n matrices with iid uniform entries until
-    one has full row rank, then canonicalize.  Uniformity follows because
-    every s-dimensional subspace has the same number of ordered bases.
+    Rejection sampling: each attempt draws an s x n matrix, row by row, as
+    s * n calls of rng.randrange(p), all made before the rank test; the first
+    attempt of full row rank is canonicalized.  Uniformity follows because
+    every s-dimensional subspace has the same number of ordered bases.  The
+    rows are reduced in place, and only the accepted draw is built into a
+    `Matrix` and a `Subspace`.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
@@ -269,10 +272,9 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Sub
         return Subspace.zero(field, n)
     while True:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(s)]
-        m = Matrix.from_rows(field, rows, cols=n)
-        u = span_of(m)
-        if u.dim == s:
-            return u
+        rows, rank, _ = _rref_dense(rows, n, p)
+        if rank == s:
+            return Subspace(field, n, Matrix(field, s, n, tuple(x for r in rows for x in r)))
 
 
 def sample_subspace(n: int, s: int, field: FieldSpec, seed: int) -> Subspace:

@@ -89,8 +89,9 @@ def direct_tensor_rank(entries, pool, pairs, p: int):
     return None
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of a list of residue vectors, by Gauss-Jordan elimination."""
+def rref_mod_p(rows, p: int):
+    """The nonzero rows of the reduced row echelon form of a list of residue
+    vectors, by Gauss-Jordan elimination."""
     rows = [list(r) for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -106,7 +107,41 @@ def rank_mod_p(rows, p: int) -> int:
             if i != rank and f:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         rank += 1
-    return rank
+    return [tuple(r) for r in rows[:rank]]
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of a list of residue vectors."""
+    return len(rref_mod_p(rows, p))
+
+
+def image_sum_dim(maps, basis, n: int, p: int) -> int:
+    """dim of the sum of M(U) over the maps M, for U spanned by `basis`.
+
+    Maps are n x n entry tuples, row-major; every image M v is formed
+    entry by entry and the stacked images are ranked with `rank_mod_p`.
+    """
+    images = [
+        [sum(m[i * n + j] * v[j] for j in range(n)) % p for i in range(n)]
+        for m in maps for v in basis
+    ]
+    return rank_mod_p(images, p)
+
+
+def replay_draws(n: int, s: int, p: int, rng, count: int):
+    """`count` uniform s-dimensional subspaces of GF(p)^n, as RREF row tuples.
+
+    Replays the sampler's documented protocol on plain ints: each attempt
+    draws s rows of n values rng.randrange(p), row by row, before any rank
+    test, and the first attempt of rank s is reduced to its RREF.
+    """
+    out = []
+    while len(out) < count:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(s)]
+        basis = rref_mod_p(rows, p)
+        if len(basis) == s:
+            out.append(tuple(basis))
+    return out
 
 
 def lex_first_spanning_rank_ones(slices, p: int, d2: int, d3: int, r_max: int):

@@ -531,10 +531,13 @@ def test_thread_count_is_invisible(run, tmp_path):
     (["verify-expander", "--tau", "1/2"], "expander verification"),
     (["certify", "--s", "2", "--t", "3"], "spreading verification"),
     (["pipeline", "--epsilon", "1/2"], "expansion measurement"),
+    (["verify-spreading", "--s", "3", "--t", "3", "--samples", "99999999999", "--seed", "1"],
+     "spreading verification"),
 ])
 def test_scan_budgets_fire_before_the_scan(run, tmp_path, argv, stage):
-    # GF(65521)^6 has ~10**43 subspaces of dimension 3; every scan budget must
-    # refuse it from the Gaussian binomial alone.
+    # GF(65521)^6 has ~10**43 subspaces of dimension 3; every exhaustive scan
+    # budget must refuse it from the Gaussian binomial alone, and a sampled
+    # scan from its number of draws.
     src = str(tmp_path / "wide.maps")
     assert run("build-maps", "--kind", "random", "--n", "6", "--field", "65521",
                "--seed", "1", "--out", src)[0] == 0

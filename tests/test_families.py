@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import dimspread.families as families_module
 from dimspread.errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
 from dimspread.families import (
     MapFamily,
@@ -27,6 +28,7 @@ from dimspread.families import (
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix
 from dimspread.subspace import grassmann_count
+from oracles import image_sum_dim, rank_mod_p, replay_draws
 
 F3 = FieldSpec(3)
 
@@ -301,6 +303,62 @@ def test_spreading_sampled_modes():
         verify_spreading(SYM2, SpreadingParams(1, 2), samples=20)
     with pytest.raises(ValueError):
         verify_spreading(SYM2, SpreadingParams(1, 2), samples=0, seed=1)
+
+
+def count_adds_per_span(monkeypatch) -> list[int]:
+    """Wraps `families.make_row_span`; the list gets one entry per span made,
+    counting that span's `add` calls."""
+    counts: list[int] = []
+    real = families_module.make_row_span
+
+    def make_row_span(p):
+        span = real(p)
+        base, index = type(span), len(counts)
+        counts.append(0)
+
+        class Counted(base):
+            __slots__ = ()
+
+            def add(self, v):
+                counts[index] += 1
+                return base.add(self, v)
+
+        span.__class__ = Counted
+        return span
+
+    monkeypatch.setattr(families_module, "make_row_span", make_row_span)
+    return counts
+
+
+@pytest.mark.parametrize("p, n, s", [(2, 6, 3), (3, 5, 2), (5, 5, 3)])
+def test_sampled_spreading_adds_s_images_per_draw(monkeypatch, p, n, s):
+    # With t = s and an invertible first map, the first map's images of a
+    # draw's s basis rows are independent and already reach t: each draw's
+    # image sum stops after exactly s adds, whatever the other maps are.
+    field = FieldSpec(p)
+    rng = random.Random(700 + p)
+    first = rand_family(field, n, 1, rng).maps[0]
+    while rank_mod_p([first.row(i) for i in range(n)], p) < n:
+        first = rand_family(field, n, 1, rng).maps[0]
+    fam = MapFamily(field, n, (first,) + rand_family(field, n, 2, rng).maps)
+    counts = count_adds_per_span(monkeypatch)
+    res = verify_spreading(fam, SpreadingParams(s, s), samples=25, seed=p)
+    assert res.verified and not res.exhaustive
+    assert counts == [s] * 25
+
+
+def test_sampled_refutation_reports_exact_achieved():
+    # One projection onto 3 of 5 coordinates: a 3-dim subspace's image sum is
+    # 1, 2 or 3, all below t = 5, so the first draw refutes with its exact
+    # value, not with where the scan could have stopped.
+    n, p, seed = 5, 3, 17
+    proj = Matrix(F3, n, n, tuple(int(i == j < 3) for i in range(n) for j in range(n)))
+    fam = MapFamily(F3, n, (proj,))
+    res = verify_spreading(fam, SpreadingParams(3, 5), samples=10, seed=seed)
+    first = replay_draws(n, 3, p, random.Random(seed), 1)[0]
+    assert not res.verified
+    assert res.counterexample.basis.entries == tuple(x for r in first for x in r)
+    assert res.achieved == image_sum_dim([proj.entries], first, n, p) < 5
 
 
 def test_spreading_budget():

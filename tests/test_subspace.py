@@ -18,7 +18,7 @@ from dimspread.subspace import (
     sample_with_rng,
     span_of,
 )
-from oracles import gaussian_binomial
+from oracles import gaussian_binomial, replay_draws
 
 F3 = FieldSpec(3)
 
@@ -209,3 +209,23 @@ def test_sampling_is_roughly_uniform():
     expected = draws / len(lines)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 22.458  # critical value at alpha = 0.001
+
+
+@pytest.mark.parametrize("p, shapes", [
+    (2, [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3)]),
+    (3, [(2, 2), (3, 1), (4, 4), (5, 2)]),
+    (5, [(1, 1), (3, 3), (4, 2)]),
+])
+def test_sampler_matches_plain_int_replay(p, shapes):
+    # The draw protocol is part of the contract: the same seed must give the
+    # same subspaces and leave the RNG in the same state.  s = n shapes reject
+    # most attempts over GF(2): about 0.3 of square draws are invertible.
+    field = FieldSpec(p)
+    for n, s in shapes:
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            want = replay_draws(n, s, p, ref, 15)
+            for rows in want:
+                sub = sample_with_rng(n, s, field, rng)
+                assert sub.basis.entries == tuple(x for r in rows for x in r)
+            assert rng.getstate() == ref.getstate()
