@@ -233,6 +233,30 @@ def test_verify_spreading_sampled(run, tmp_path):
     assert code == 2 and "--seed" in err
 
 
+def test_verify_spreading_sampled_refuted_frozen(run, tmp_path):
+    src = family_file(tmp_path, MapFamily(GF2, 3, (I3, C3)))
+    code, out, err = run("verify-spreading", src, "--s", "1", "--t", "2",
+                         "--samples", "60", "--seed", "7")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: verify-spreading\n"
+        "field: 2\n"
+        "n: 3\n"
+        "maps: 2\n"
+        "s: 1\n"
+        "t: 2\n"
+        "mode: sampled\n"
+        "samples: 60\n"
+        "seed: 7\n"
+        "confidence: refutation-only\n"
+        "verdict: refuted\n"
+        "conclusive: yes\n"
+        "achieved: 1\n"
+        "counterexample_dim: 1\n"
+        "counterexample: 1 1 1\n"
+    )
+
+
 def test_verify_spreading_budget(run, tmp_path):
     src = family_file(tmp_path, MapFamily(GF2, 3, (I3,)))
     code, _, err = run("verify-spreading", src, "--s", "1", "--t", "1",
@@ -252,6 +276,41 @@ def test_verify_expander_command(run, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify-expander", src, "--tau", "abc"])
     assert exc.value.code == 2
+
+
+def test_verify_expander_holds_frozen(run, tmp_path):
+    src = family_file(tmp_path, SYM2)
+    code, out, err = run("verify-expander", src, "--tau", "1")
+    assert code == 0 and err == ""
+    assert out == (
+        "report: verify-expander\n"
+        "field: 2\n"
+        "n: 2\n"
+        "maps: 3\n"
+        "tau: 1\n"
+        "mode: exhaustive\n"
+        "verdict: holds\n"
+        "conclusive: yes\n"
+    )
+
+
+def test_verify_expander_refuted_frozen(run, tmp_path):
+    src = family_file(tmp_path, SYM2)
+    code, out, err = run("verify-expander", src, "--tau", "3/2")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: verify-expander\n"
+        "field: 2\n"
+        "n: 2\n"
+        "maps: 3\n"
+        "tau: 3/2\n"
+        "mode: exhaustive\n"
+        "verdict: refuted\n"
+        "conclusive: yes\n"
+        "achieved: 2\n"
+        "counterexample_dim: 1\n"
+        "counterexample: 1 0\n"
+    )
 
 
 def test_measure_frozen(run, tmp_path):
@@ -407,6 +466,25 @@ def test_certify_command(run, tmp_path):
     assert code == 2 and "t >= 1" in err
 
 
+def test_certify_not_spreading_frozen(run, tmp_path):
+    src = family_file(tmp_path, MapFamily(GF2, 3, (I3, C3)))
+    code, out, err = run("certify", src, "--s", "1", "--t", "2")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: certify\n"
+        "field: 2\n"
+        "n: 3\n"
+        "maps: 2\n"
+        "s: 1\n"
+        "t: 2\n"
+        "mode: exhaustive\n"
+        "verdict: not-spreading\n"
+        "achieved: 1\n"
+        "counterexample_dim: 1\n"
+        "counterexample: 1 1 1\n"
+    )
+
+
 def test_refute_frozen(run, tmp_path):
     src = family_file(tmp_path, MapFamily(GF2, 2, (I2,)))
     dec_path = tmp_path / "diag.dec"
@@ -500,6 +578,42 @@ def test_pipeline_expansion_refuted(run, tmp_path):
     assert "stage: expansion\n" in out
     assert "verdict: refuted\n" in out
     assert "witness: 1 0\n" in out
+
+
+def test_pipeline_spreading_refuted_frozen(run, tmp_path):
+    # One map on GF(2)^5 whose only nonzero row is row 4 = (0 1 0 0 1).  Two
+    # draws per dimension put tau_star at 1/2, above the exhaustive 0, so the
+    # run takes words and the spreading stage refutes them.
+    rows = [[0] * 5 for _ in range(5)]
+    rows[3] = [0, 1, 0, 0, 1]
+    src = family_file(tmp_path, MapFamily(GF2, 5, (Matrix.from_rows(GF2, rows),)))
+    code, out, err = run("pipeline", src, "--epsilon", "1/3",
+                         "--samples", "2", "--seed", "14")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: pipeline\n"
+        "field: 2\n"
+        "n: 5\n"
+        "maps_in: 1\n"
+        "maps_symmetrized: 3\n"
+        "epsilon: 1/3\n"
+        "mode: sampled\n"
+        "samples: 2\n"
+        "seed: 14\n"
+        "confidence: refutation-only\n"
+        "tau_star: 1/2\n"
+        "word_length: 10\n"
+        "word_count: 5\n"
+        "s: 2\n"
+        "t: 4\n"
+        "spreading: refuted\n"
+        "stage: spreading\n"
+        "verdict: refuted\n"
+        "achieved: 3\n"
+        "counterexample_dim: 2\n"
+        "counterexample: 1 0 1 0 1\n"
+        "counterexample: 0 1 0 0 1\n"
+    )
 
 
 def test_pipeline_epsilon_validation(run, tmp_path):
