@@ -74,7 +74,6 @@ def certify_lower_bound(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LowerBoundCertificate:
     """Verify (s, t)-spreading and certify rank(tensor) >= n + t - s.
@@ -161,9 +160,8 @@ def refute_spreading(
     else:
         k_s = Subspace.full(fam.field, n)
     if tail:
-        image_rows = [
-            rank_ones[i].transpose().row(j) for i in tail for j in range(n)
-        ]
+        # row j of a term's transpose is its column j
+        image_rows = [rank_ones[i].entries[j::n] for i in tail for j in range(n)]
         i_tail = span_of(Matrix.from_rows(fam.field, image_rows, cols=n))
     else:
         i_tail = Subspace.zero(fam.field, n)

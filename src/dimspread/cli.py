@@ -9,8 +9,12 @@ Exit codes are uniform across subcommands:
   3  a configured budget was exceeded (stderr names the stage)
 
 Reports are deterministic `key: value` lines; multi-row values (subspace
-bases) repeat the key once per row.  Scans run in one thread; --threads is
-accepted for compatibility and changes nothing.
+bases) repeat the key once per row.
+
+Each run option reaches the library by one path: the parser declares it,
+`RunConfig` validates it, and `RunConfig.scan` carries the scan options
+(sampling and the enumeration budget).  Scans run in one thread; --threads
+is validated and changes nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
+# rank_bound is unused here, but bench/tracing.py patches cli.rank_bound.
 from .certify import certify_lower_bound, family_tensor, rank_bound, refute_spreading
 from .errors import BudgetExceeded, NotSpreading
 from .families import (
@@ -53,7 +58,7 @@ from .formats import (
 )
 from .gfp import FieldSpec, Matrix
 from .subspace import DEFAULT_ENUMERATION_CAP, Subspace
-from .tensor import DEFAULT_POOL_CAP, DEFAULT_STEP_CAP, tensor_rank
+from .tensor import DEFAULT_POOL_CAP, DEFAULT_STEP_CAP, pool_size, tensor_rank
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -82,17 +87,17 @@ class RunConfig:
             if self.seed is None:
                 raise ValueError("sampled mode requires an explicit --seed")
 
+    @property
+    def scan(self) -> dict:
+        """Keyword arguments of every scan: sampling and its budget."""
+        return {"samples": self.samples, "seed": self.seed,
+                "enumeration_cap": self.enumeration_cap}
+
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        threads=getattr(args, "threads", 1),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-        enumeration_cap=getattr(args, "enumeration_cap", DEFAULT_ENUMERATION_CAP),
-        word_cap=getattr(args, "word_cap", DEFAULT_WORD_CAP),
-        pool_cap=getattr(args, "pool_cap", DEFAULT_POOL_CAP),
-        step_cap=getattr(args, "step_cap", DEFAULT_STEP_CAP),
-    )
+    """The run options this subcommand declares; the rest keep their defaults."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _fraction(text: str) -> Fraction:
@@ -111,10 +116,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def _family_header(name: str, fam: MapFamily) -> list[tuple[str, object]]:
@@ -141,6 +142,10 @@ def _subspace_items(key: str, sub: Subspace) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [(f"{key}_dim", sub.dim)]
     items.extend(matrix_report_rows(key, sub.basis))
     return items
+
+
+def _counterexample_items(achieved: int, sub: Subspace) -> list[tuple[str, object]]:
+    return [("achieved", achieved), *_subspace_items("counterexample", sub)]
 
 
 # ----------------------------------------------------------------------
@@ -196,41 +201,23 @@ def _cmd_words(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_spreading(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """verify-spreading and verify-expander: one threshold check, one report."""
     cfg = _config(args)
     fam = parse_map_family(_read(args.maps))
-    params = SpreadingParams(args.s, args.t)
-    res = verify_spreading(
-        fam, params, samples=cfg.samples, seed=cfg.seed,
-        enumeration_cap=cfg.enumeration_cap,
-    )
-    items = _family_header("verify-spreading", fam)
-    items += [("s", params.s), ("t", params.t)]
+    items = _family_header(args.command, fam)
+    if args.command == "verify-spreading":
+        params = SpreadingParams(args.s, args.t)
+        res = verify_spreading(fam, params, **cfg.scan)
+        items += [("s", params.s), ("t", params.t)]
+    else:
+        res = verify_expander(fam, args.tau, **cfg.scan)
+        items.append(("tau", args.tau))
     items += _mode_items(cfg)
     items.append(("verdict", "holds" if res.verified else "refuted"))
     items.append(("conclusive", "yes" if res.conclusive else "no"))
     if not res.verified:
-        items.append(("achieved", res.achieved))
-        items += _subspace_items("counterexample", res.counterexample)
-    sys.stdout.write(render_report(items))
-    return 0 if res.verified else 1
-
-
-def _cmd_verify_expander(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    fam = parse_map_family(_read(args.maps))
-    res = verify_expander(
-        fam, args.tau, samples=cfg.samples, seed=cfg.seed,
-        enumeration_cap=cfg.enumeration_cap,
-    )
-    items = _family_header("verify-expander", fam)
-    items.append(("tau", args.tau))
-    items += _mode_items(cfg)
-    items.append(("verdict", "holds" if res.verified else "refuted"))
-    items.append(("conclusive", "yes" if res.conclusive else "no"))
-    if not res.verified:
-        items.append(("achieved", res.achieved))
-        items += _subspace_items("counterexample", res.counterexample)
+        items += _counterexample_items(res.achieved, res.counterexample)
     sys.stdout.write(render_report(items))
     return 0 if res.verified else 1
 
@@ -238,10 +225,7 @@ def _cmd_verify_expander(args: argparse.Namespace) -> int:
 def _cmd_measure(args: argparse.Namespace) -> int:
     cfg = _config(args)
     fam = parse_map_family(_read(args.maps))
-    rep = measure_expansion(
-        fam, samples=cfg.samples, seed=cfg.seed,
-        enumeration_cap=cfg.enumeration_cap,
-    )
+    rep = measure_expansion(fam, **cfg.scan)
     items = _family_header("measure", fam)
     items += _mode_items(cfg)
     items.append(("tau_star", rep.tau_star))
@@ -292,14 +276,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     items += [("s", params.s), ("t", params.t)]
     items += _mode_items(cfg)
     try:
-        cert = certify_lower_bound(
-            fam, params, samples=cfg.samples, seed=cfg.seed,
-            enumeration_cap=cfg.enumeration_cap,
-        )
+        cert = certify_lower_bound(fam, params, **cfg.scan)
     except NotSpreading as e:
         items.append(("verdict", "not-spreading"))
-        items.append(("achieved", e.achieved))
-        items += _subspace_items("counterexample", e.counterexample)
+        items += _counterexample_items(e.achieved, e.counterexample)
         sys.stdout.write(render_report(items))
         return 1
     items.append(("verdict", "certified"))
@@ -329,7 +309,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
 
 
 def _rank_check_feasible(p: int, n: int, r_max: int, pool_cap: int) -> bool:
-    classes = ((p**n - 1) // (p - 1)) ** 2
+    classes = pool_size(p, n, n)
     if classes > pool_cap:
         return False
     return math.comb(classes, min(r_max, classes)) <= 2 * 10**6
@@ -352,10 +332,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     ]
     items += _mode_items(cfg)
 
-    rep = measure_expansion(
-        sym, samples=cfg.samples, seed=cfg.seed,
-        enumeration_cap=cfg.enumeration_cap,
-    )
+    rep = measure_expansion(sym, **cfg.scan)
     items.append(("tau_star", rep.tau_star))
     if rep.tau_star <= 0:
         items.append(("stage", "expansion"))
@@ -369,19 +346,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     word_fam = words(sym, t, word_cap=cfg.word_cap)
     items.append(("word_count", len(word_fam.maps)))
 
-    params = SpreadingParams(_ceil(eps * fam.n), _ceil((1 - eps) * fam.n))
+    params = SpreadingParams(math.ceil(eps * fam.n), math.ceil((1 - eps) * fam.n))
     items += [("s", params.s), ("t", params.t)]
     try:
-        cert = certify_lower_bound(
-            word_fam, params, samples=cfg.samples, seed=cfg.seed,
-            enumeration_cap=cfg.enumeration_cap,
-        )
+        cert = certify_lower_bound(word_fam, params, **cfg.scan)
     except NotSpreading as e:
-        items.append(("spreading", "refuted"))
-        items.append(("stage", "spreading"))
-        items.append(("verdict", "refuted"))
-        items.append(("achieved", e.achieved))
-        items += _subspace_items("counterexample", e.counterexample)
+        items += [("spreading", "refuted"), ("stage", "spreading"), ("verdict", "refuted")]
+        items += _counterexample_items(e.achieved, e.counterexample)
         sys.stdout.write(render_report(items))
         return 1
     items.append(("spreading", "holds"))
@@ -420,16 +391,15 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_run_options(sp: argparse.ArgumentParser, *, sampled: bool = True) -> None:
+def _add_run_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; scans run in one thread")
     sp.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                     help="max subspaces a scan may enumerate or draw")
-    if sampled:
-        sp.add_argument("--samples", type=int, default=None,
-                        help="sampled mode: number of random subspaces per dimension")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (required with --samples)")
+    sp.add_argument("--samples", type=int, default=None,
+                    help="sampled mode: number of random subspaces per dimension")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="RNG seed (required with --samples)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     _add_run_options(sp)
-    sp.set_defaults(func=_cmd_verify_spreading)
+    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("verify-expander", help="check (1+tau)-fold growth up to dim n/2")
     sp.add_argument("maps")
     sp.add_argument("--tau", type=_fraction, required=True)
     _add_run_options(sp)
-    sp.set_defaults(func=_cmd_verify_expander)
+    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("measure", help="exact best expansion constant of a family")
     sp.add_argument("maps")

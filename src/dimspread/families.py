@@ -26,8 +26,7 @@ canonical first one a subspace-by-subspace walk finds.
 Sampled scans add each draw's images, map by map, under the same rule, so
 a draw that reaches the need costs no more adds than it takes to get there.
 
-Every scan runs in one thread.  The verifiers still accept `threads=` for
-compatibility; it changes nothing.
+Every scan runs in one thread.
 """
 
 from __future__ import annotations
@@ -374,9 +373,9 @@ def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
     steps = [pack((1, a)) for a in range(p)]
     choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in row_free[r]])
                for r in range(last)]
-    choices.append(list(itertools.product(range(p), repeat=len(head))))
+    choices.append(_lex_table(combine, steps, units[pivots[last]], [units[c] for c in head]))
     spans = [make_row_span(p)] * d
-    prev, key = (None,) * d, None
+    prev, base = (None,) * d, None
     for choice in itertools.product(*choices):
         target = need[d]
         r = 0
@@ -391,9 +390,8 @@ def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
                     if span.add(combine(choice[k], cols)) is not None and span.dim >= target:
                         break
             spans[k + 1] = span
-        if choice[last] != key:
-            key = choice[last]
-            base = combine(pack((1,) + key), [units[c] for c in (pivots[last], *head)])
+        if choice[last] != base:
+            base = choice[last]
             lasts = _lex_table(combine, steps, base, [units[c] for c in tail])
             tables = None
         rows = choice[:last]
@@ -445,24 +443,23 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     p = fam.field.modulus
     if samples is None:
         total = sum(grassmann_count(fam.n, d, p) for d in need)
-        if total > enumeration_cap:
-            raise BudgetExceeded(stage, total, enumeration_cap)
-        maps_cols = _map_columns(fam, vectors(p).pack)
+    else:
+        if seed is None:
+            raise ValueError("sampled mode requires a seed")
+        if samples < 1:
+            raise ValueError("samples must be positive")
+        total = samples * len(need)
+    if total > enumeration_cap:
+        raise BudgetExceeded(stage, total, enumeration_cap)
+    vec = vectors(p)
+    pack, combine = vec.pack, vec.combine
+    maps_cols = _map_columns(fam, pack)
+    if samples is None:
         for d in need:
             for pivots, free, _ in subspace_cells(fam.n, d, p):
                 yield from _cell_scan(fam, maps_cols, pivots, free, need)
         return
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    total = samples * len(need)
-    if total > enumeration_cap:
-        raise BudgetExceeded(stage, total, enumeration_cap)
     rng = random.Random(seed)
-    vec = vectors(p)
-    pack, combine = vec.pack, vec.combine
-    maps_cols = _map_columns(fam, pack)
     for d in need:
         for _ in range(samples):
             sub = sample_with_rng(fam.n, d, fam.field, rng)
@@ -522,17 +519,12 @@ def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int 
 # ----------------------------------------------------------------------
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def verify_spreading(
     fam: MapFamily,
     params: SpreadingParams,
     *,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SpreadingResult:
     """Check that every subspace of dim >= s has image-sum dimension >= t.
@@ -551,6 +543,8 @@ def verify_spreading(
 
 
 def _expander_dims(n: int) -> list[int]:
+    if n < 2:
+        raise ValueError("expansion needs n >= 2")
     return list(range(1, n // 2 + 1))
 
 
@@ -560,7 +554,6 @@ def verify_expander(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SpreadingResult:
     """Check dim(sum of images of U) >= (1+tau) dim(U) for all dim(U) <= n/2.
@@ -572,9 +565,7 @@ def verify_expander(
     if tau <= 0:
         raise ValueError("tau must be positive")
     dims = _expander_dims(fam.n)
-    if not dims:
-        raise ValueError("expansion needs n >= 2")
-    thresholds = {d: _ceil_fraction((1 + tau) * d) for d in dims}
+    thresholds = {d: math.ceil((1 + tau) * d) for d in dims}
     return _first_violation(fam, thresholds, samples, seed, enumeration_cap,
                             "expander verification")
 
@@ -584,7 +575,6 @@ def measure_expansion(
     *,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ExpansionReport:
     """Largest tau the family achieves: min over dims <= n/2 of ratio - 1.
@@ -595,8 +585,6 @@ def measure_expansion(
     dimensions in increasing order.
     """
     dims = _expander_dims(fam.n)
-    if not dims:
-        raise ValueError("expansion needs n >= 2")
     minima = _minima(fam, dims, samples, seed, enumeration_cap, "expansion measurement")
     tau_star = None
     witness = None
@@ -614,7 +602,7 @@ def verify_large_expansion(
     fam: MapFamily,
     tau,
     *,
-    threads: int = 1,
+    threads: int = 1,  # unused: bench/run.py passes it to check that it changes nothing
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     check_expander: bool = True,
 ) -> LargeExpansionResult:
@@ -649,7 +637,7 @@ def verify_large_expansion(
             )
     n = fam.n
     dims = [d for d in range(n // 2 + 1, n)]
-    thresholds = {d: _ceil_fraction((1 + tau * (1 - Fraction(d, n)) / 2) * d) for d in dims}
+    thresholds = {d: math.ceil((1 + tau * (1 - Fraction(d, n)) / 2) * d) for d in dims}
     sharper = {d: (tau * (1 - Fraction(d, n))) / ((1 + tau) * Fraction(d, n)) for d in dims}
     records = []
     shared: dict[tuple[int, int], LargeExpansionRecord] = {}
@@ -672,7 +660,6 @@ def verify_large_expansion(
 def spreading_profile(
     fam: MapFamily,
     *,
-    threads: int = 1,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[tuple[int, int], ...]:
     """For each s in 1..n, the largest t such that (s, t)-spreading holds.

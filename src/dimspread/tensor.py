@@ -31,6 +31,7 @@ __all__ = [
     "Decomposition",
     "slice_tensor",
     "eval_decomposition",
+    "pool_size",
     "min_spanning_rank_ones",
     "reconstruct_decomposition",
     "tensor_rank",
@@ -195,6 +196,12 @@ def _proj_reps(p: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def pool_size(p: int, d2: int, d3: int) -> int:
+    """Projective classes of rank-one d2 x d3 matrices over GF(p): the
+    number of candidates the rank search walks."""
+    return ((p**d2 - 1) // (p - 1)) * ((p**d3 - 1) // (p - 1))
+
+
 def min_spanning_rank_ones(
     slices: Sequence[Matrix],
     r_max: int,
@@ -259,7 +266,7 @@ def min_spanning_rank_ones(
         return None
 
     # Sized before any representative is built: building them walks p**d vectors.
-    pool_n = ((p**d2 - 1) // (p - 1)) * ((p**d3 - 1) // (p - 1))
+    pool_n = pool_size(p, d2, d3)
     if pool_n > pool_cap:
         raise BudgetExceeded("rank-one candidate pool", pool_n, pool_cap)
     reps_h = _proj_reps(p, d3)
@@ -323,9 +330,10 @@ def min_spanning_rank_ones(
 
         def dfs(start: int, table) -> bool:
             nonlocal steps
+            # joint.dim <= r - 1 here (a full joint span goes to `complete`),
+            # and the chosen matrices are independent and lie in joint, so
+            # depth <= joint.dim < r: dfs never starts at a finished branch.
             depth = len(chosen)
-            if depth == r:
-                return True
             if table is None and joint.dim == r - 1:
                 table = residues(start)
             if table is not None:

@@ -478,13 +478,7 @@ def test_large_expansion_counterexample():
 
 
 def test_thread_count_does_not_change_results():
-    fam = MapFamily(GF2, 4, (Matrix.identity(GF2, 4),))
-    params = SpreadingParams(1, 2)
-    assert verify_spreading(fam, params, threads=1) == verify_spreading(
-        fam, params, threads=4
-    )
     shifts = matching_maps(shift_matchings(4), GF2)
-    assert measure_expansion(shifts, threads=1) == measure_expansion(shifts, threads=4)
     assert verify_large_expansion(shifts, Fraction(1, 2), threads=1) == (
         verify_large_expansion(shifts, Fraction(1, 2), threads=4)
     )
