@@ -5,17 +5,19 @@ Elimination always takes the first nonzero pivot in column order, so the
 reduced row echelon form and everything derived from it (kernel bases,
 canonical solutions) is reproducible bit for bit.
 
-Vectors handed to the row spans and the scans have one representation per
-field, chosen here and nowhere else: over GF(2) a vector is a Python int
-(bit j = coordinate j) reduced with XOR; over odd p it is a tuple of
-residues.  `vectors(p)` returns the pack/unpack/combine operations for
-that representation and `make_row_span(p)` the matching span accumulator.
-Elimination (`rref`, `kernel_basis`, `solve`) runs on dense residue rows
-for every p.
+Vectors handed to the row spans and the scans are Python ints for every
+field, laid out here and nowhere else: over GF(2) bit j is coordinate j and
+vectors add with XOR; over odd p coordinate j is the lane of `_lanes(p)`
+bits at j * width, and vectors add as whole ints whose lanes are reduced
+mod p only before one could overflow and once at the end.  `vectors(p)`
+returns the pack/unpack/combine operations for that representation and
+`make_row_span(p)` the matching span accumulator.  Elimination (`rref`,
+`kernel_basis`, `solve`) runs on dense residue rows for every p.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -200,7 +202,8 @@ class Matrix:
 
 
 # ----------------------------------------------------------------------
-# field vectors: packed ints over GF(2), residue tuples over odd p
+# field vectors: packed ints, one bit per coordinate over GF(2) and one
+# fixed-width lane per coordinate over odd p
 # ----------------------------------------------------------------------
 
 
@@ -244,27 +247,90 @@ class FieldVectors(NamedTuple):
 _GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _combine_bits)
 
 
+class _Lanes(NamedTuple):
+    """Lane layout of the vectors over one odd p.
+
+    A lane is `width` bits, the least multiple of 8 with p(p - 1) < 2**width,
+    so it holds a residue plus one product (p - 1)**2 without carrying into
+    the next lane.  A sum of terms c * row (c and every lane of row below p)
+    may take `fresh` terms from zero and `again` terms on top of reduced
+    lanes before `reduce`, which reduces every lane mod p, must run.
+    pack and unpack convert between residue sequences and lanes.
+    """
+
+    width: int
+    mask: int
+    fresh: int
+    again: int
+    reduce: Callable
+    pack: Callable
+    unpack: Callable
+
+
+@functools.cache
+def _lanes(p: int) -> _Lanes:
+    """The lane layout for p; the only code that depends on the width."""
+    width = 8
+    while p * (p - 1) >= 1 << width:
+        width += 8
+    mask = (1 << width) - 1
+    if width == 8:
+        table = bytes(x % p for x in range(256))
+
+        def reduce(v: int) -> int:
+            raw = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+            return int.from_bytes(raw.translate(table), "little")
+
+        def pack(seq) -> int:
+            return int.from_bytes(bytes(seq).translate(table), "little")
+
+        def unpack(v: int, n: int) -> tuple[int, ...]:
+            return tuple(v.to_bytes(n, "little"))
+    else:
+        def reduce(v: int) -> int:
+            out = shift = 0
+            while v:
+                out |= ((v & mask) % p) << shift
+                v >>= width
+                shift += width
+            return out
+
+        def pack(seq) -> int:
+            v = 0
+            for j, x in enumerate(seq):
+                v |= (x % p) << (j * width)
+            return v
+
+        def unpack(v: int, n: int) -> tuple[int, ...]:
+            return tuple((v >> (j * width)) & mask for j in range(n))
+
+    top = (p - 1) ** 2
+    return _Lanes(width, mask, mask // top, (mask - (p - 1)) // top, reduce, pack, unpack)
+
+
+@functools.cache
 def _residue_vectors(p: int) -> FieldVectors:
-    def unpack(v, width: int) -> tuple[int, ...]:
-        return tuple(v)
+    lanes = _lanes(p)
+    fresh, again, reduce, unpack = lanes.fresh, lanes.again, lanes.reduce, lanes.unpack
 
-    def combine(coeffs, rows) -> tuple[int, ...]:
-        acc = None
-        for c, row in zip(coeffs, rows):
+    def combine(coeffs: int, rows) -> int:
+        acc = 0
+        room = fresh
+        for c, row in zip(unpack(coeffs, len(rows)), rows):
             if c:
-                if acc is None:
-                    acc = [c * x for x in row]
-                else:
-                    acc = [a + c * x for a, x in zip(acc, row)]
-        if acc is None:
-            return (0,) * len(rows[0])
-        return tuple(a % p for a in acc)
+                if not room:
+                    acc = reduce(acc)
+                    room = again
+                acc += c * row
+                room -= 1
+        return reduce(acc)
 
-    return FieldVectors(tuple, unpack, combine)
+    return FieldVectors(lanes.pack, unpack, combine)
 
 
 def vectors(p: int) -> FieldVectors:
-    """Vector operations for GF(p): packed ints for p = 2, tuples otherwise."""
+    """Vector operations for GF(p): one bit per coordinate for p = 2, one
+    lane of `_lanes(p)` per coordinate otherwise."""
     return _GF2_VECTORS if p == 2 else _residue_vectors(p)
 
 
@@ -429,32 +495,54 @@ class Gf2RowSpan:
 
 
 class ModRowSpan:
-    """Incremental row span over GF(p); rows normalized to unit leading entry.
+    """Incremental row span over odd GF(p); rows normalized to unit leading entry.
 
-    Same interface as Gf2RowSpan but vectors are sequences of residues.
+    Same interface as Gf2RowSpan on the lane-packed vectors of `vectors(p)`;
+    a plain sequence of residues is packed on entry.  Rows are kept as
+    (lead, row) in ascending lead, where lead is the bit offset of the row's
+    first nonzero lane, so a single pass of whole-int multiply-adds reduces a
+    vector.
     """
 
-    __slots__ = ("p", "rows")
+    __slots__ = ("p", "lanes", "rows")
 
     def __init__(self, p: int) -> None:
         self.p = p
-        self.rows: list[tuple[int, list[int]]] = []  # (lead index, row), ascending lead
+        self.lanes = _lanes(p)
+        self.rows: list[tuple[int, int]] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v) -> list[int]:
-        v = list(v)
+    def reduce(self, v) -> int:
+        """The canonical residue of v modulo the span."""
         p = self.p
+        _, mask, _, again, reduce, pack, _ = self.lanes
+        if not isinstance(v, int):
+            v = pack(v)
+        room = again
         for lead, row in self.rows:
-            c = v[lead]
+            c = ((v >> lead) & mask) % p
             if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
+                if not room:
+                    v = reduce(v)
+                    room = again
+                v += (p - c) * row
+                room -= 1
+        return v if room == again else reduce(v)
 
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self.reduce(v)
+
+    def _lead(self, v: int) -> tuple[int, int]:
+        """(bit offset of v's first nonzero lane, v scaled to a 1 there)."""
+        low = (v & -v).bit_length() - 1
+        lead = low - low % self.lanes.width
+        x = (v >> lead) & self.lanes.mask
+        if x != 1:
+            v = self.lanes.reduce(v * pow(x, self.p - 2, self.p))
+        return lead, v
 
     def line_key(self, v):
         """The residue of v scaled to a unit first nonzero entry, or 0 in the span.
@@ -463,26 +551,13 @@ class ModRowSpan:
         outside the span: their residues then differ by a nonzero factor.
         """
         v = self.reduce(v)
-        for x in v:
-            if x:
-                if x == 1:
-                    return tuple(v)
-                inv = pow(x, self.p - 2, self.p)
-                return tuple((y * inv) % self.p for y in v)
-        return 0
+        return self._lead(v)[1] if v else 0
 
     def add(self, v):
         v = self.reduce(v)
-        lead = None
-        for j, x in enumerate(v):
-            if x:
-                lead = j
-                break
-        if lead is None:
+        if not v:
             return None
-        inv = pow(v[lead], self.p - 2, self.p)
-        if inv != 1:
-            v = [(x * inv) % self.p for x in v]
+        lead, v = self._lead(v)
         rows = self.rows
         pos = 0
         while pos < len(rows) and rows[pos][0] < lead:
@@ -494,8 +569,8 @@ class ModRowSpan:
         del self.rows[pos]
 
     def copy(self) -> "ModRowSpan":
-        dup = ModRowSpan(self.p)
-        dup.rows = list(self.rows)
+        dup = ModRowSpan.__new__(ModRowSpan)
+        dup.p, dup.lanes, dup.rows = self.p, self.lanes, list(self.rows)
         return dup
 
 

@@ -126,7 +126,8 @@ def test_words_compose():
 
 def test_words_order_matches_brute_force():
     rng = random.Random(11)
-    for field, n in ((GF2, 3), (F3, 2), (FieldSpec(5), 2)):
+    for field, n in ((GF2, 3), (F3, 2), (FieldSpec(5), 2), (FieldSpec(13), 2),
+                     (FieldSpec(17), 2)):
         for _ in range(4):
             fam = rand_family(field, n, 3, rng)
             for t in (1, 2, 3):

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from oracles import rank_mod_p
 
 import dimspread
 from dimspread.gfp import (
@@ -258,7 +259,12 @@ def test_make_row_span_dispatch():
     assert isinstance(make_row_span(3), ModRowSpan)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# One prime per vector regime: bits, 8-bit lanes reduced after 63, 15, 7 and
+# 1 terms, and 16-, 24- and 32-bit lanes.
+PRIMES = [2, 3, 5, 7, 13, 17, 257, 65521]
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_field_vectors_match_the_matrix_layer(p):
     # pack/unpack/combine against Matrix.__matmul__ and rref, on seeded inputs
     field = FieldSpec(p)
@@ -278,7 +284,7 @@ def test_field_vectors_match_the_matrix_layer(p):
         assert span.dim == rref(m).rank
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", PRIMES)
 def test_line_key_decides_membership_in_span_plus_one_vector(p):
     # w lies in J + <v> exactly when key(w) is 0 or key(v), checked by rref
     # rank; and key(c v) == key(v) for every nonzero c.
@@ -294,7 +300,7 @@ def test_line_key_decides_membership_in_span_plus_one_vector(p):
             span.add(vec.pack(row))
         v = [rng.randrange(p) for _ in range(width)]
         key_v = span.line_key(vec.pack(v))
-        for c in range(1, p):
+        for c in range(1, p) if p < 20 else (2, 3, (p + 1) // 2, p - 1):
             assert span.line_key(vec.pack([(c * x) % p for x in v])) == key_v
         for _ in range(8):
             if rng.randrange(2):
@@ -314,6 +320,75 @@ def test_line_key_decides_membership_in_span_plus_one_vector(p):
             agree.add((inside, bool(key_w), bool(key_v)))
     # every branch of the equivalence was reached
     assert {(True, False, False), (True, True, True), (False, True, True)} <= agree
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 65521])
+def test_row_span_packs_residue_lists_on_entry(p):
+    # A plain residue list and its packed vector are the same vector to a span.
+    vec = vectors(p)
+    rng = random.Random(300 + p)
+    for _ in range(40):
+        width = rng.randrange(1, 7)
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, 6))]
+        probes = [[rng.randrange(p) for _ in range(width)] for _ in range(4)] + rows[:1]
+        plain, packed = ModRowSpan(p), ModRowSpan(p)
+        for row in rows:
+            assert plain.add(row) == packed.add(vec.pack(row))
+            assert plain.dim == packed.dim
+        for w in probes:
+            assert plain.contains(w) == packed.contains(vec.pack(w))
+            assert plain.line_key(w) == packed.line_key(vec.pack(w))
+            assert plain.line_key(w) == plain.line_key(vec.pack(w))
+
+
+# Terms per lane reduction: with every coefficient and entry p - 1, each term
+# adds (p - 1)**2 to a lane, so these counts cross each lane's term budget
+# (63 terms at p = 3, 15 at p = 5, 7 at p = 7, one at p = 13 and p = 65521;
+# 255 for the 16- and 24-bit lanes of 17 and 257) at least twice.
+WORST_TERMS = {3: 130, 5: 34, 7: 18, 13: 4, 17: 520, 257: 520, 65521: 4}
+
+
+@pytest.mark.parametrize("p", sorted(WORST_TERMS))
+def test_combine_at_the_lane_term_budget(p):
+    vec = vectors(p)
+    k, top = WORST_TERMS[p], p - 1
+    rows = [[top] * (k + 1) for _ in range(k)]
+    rows[-1][-1] = 1  # so that the last lane differs from the others
+    got = vec.unpack(vec.combine(vec.pack([top] * k), [vec.pack(r) for r in rows]), k + 1)
+    want = tuple(sum(top * r[j] for r in rows) % p for j in range(k + 1))
+    assert got == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 65521])
+def test_row_span_at_the_lane_term_budget(p):
+    # Row i goes in as (p - 1) e_i + e_k and is kept as e_i + (p - 1) e_k, so
+    # reducing sum(e_i) takes every row with factor p - 1, and each term adds
+    # (p - 1)**2 to the last lane.
+    vec = vectors(p)
+    k, top = WORST_TERMS[p], p - 1
+    basis = [[int(j == i) for j in range(k)] + [top] for i in range(k)]
+    span = make_row_span(p)
+    for i, row in enumerate(basis):
+        assert span.add(vec.pack([top * x % p for x in row])) == i
+    assert span.dim == rank_mod_p(basis, p) == k
+    last = vec.pack([0] * k + [1])
+    outside = []
+    for x in sorted({0, 1, k % p, (-k) % p, top}):
+        u = [1] * k + [x]
+        inside = rank_mod_p(basis + [u], p) == k
+        assert span.contains(vec.pack(u)) == inside
+        key = span.line_key(vec.pack(u))
+        assert (key == 0) == inside
+        if not inside:
+            # span + <u> is the whole space, as is span + <e_k>
+            assert key == span.line_key(last)
+            outside.append(u)
+    assert 0 < len(outside) < 5
+    grown = span.copy()
+    assert grown.add(vec.pack(outside[0])) == k
+    assert grown.dim == rank_mod_p(basis + outside[:1], p) == k + 1
+    assert grown.contains(last) and not span.contains(last)
+    assert span.dim == k
 
 
 def test_only_gfp_dispatches_on_the_modulus():
