@@ -11,11 +11,13 @@ work: the Gaussian binomials of the scanned dimensions when exhaustive, the
 number of draws when sampled.
 
 Exhaustive scans walk each Grassmannian one Schubert cell at a time on
-packed basis rows (`_cell_scan`).  The span of the images of rows 0..s-2
-is built once per prefix of free values and shared by every subspace that
-extends it; each subspace then adds only the images of its last row, read
-from per-map lookup tables of at most `_TABLE_CAP` entries (a longer last
-row moves its leading free entries into the prefix).  Adding stops as soon
+packed basis rows (`_grassmann_scan`, set up once per dimension).  The span
+of the images of rows 0..s-2 is built once per prefix of free values and
+shared by every subspace that extends it; each subspace then adds only the
+images of its last row, read from per-map lookup tables built once per
+cell.  Only a one-row cell caps its tables at `_TABLE_CAP` entries: a longer
+row moves its leading free entries into the prefix, and its tables are built
+once per prefix.  Adding stops as soon
 as the span reaches what the caller needs: the threshold when verifying,
 the least value found so far when measuring, n for the large-subspace
 records.  A prefix span one short of the need only tests the last row's
@@ -240,17 +242,13 @@ def word_length_for(epsilon, tau) -> int:
     a, b = tau.numerator, tau.denominator
     rhs = ed ** (3 * b)
     scale = en ** (3 * b)
-
-    def ok(t: int) -> bool:
-        return (1 << (t * a)) * scale > rhs
-
-    est = 3 * b * (math.log2(ed) - math.log2(en)) / a
-    t = max(1, int(est) - 2)
-    while not ok(t):
-        t += 1
-    while t > 1 and ok(t - 1):
-        t -= 1
-    return t
+    # 2**(t*a) * scale > rhs exactly when t*a >= k, the least k with
+    # scale << k > rhs.  With k0 the gap in bit length, scale << k0 is as long
+    # as rhs and scale << (k0 - 1) is shorter, so k is k0 or k0 + 1.
+    k = rhs.bit_length() - scale.bit_length()
+    if scale << k <= rhs:
+        k += 1
+    return max(1, -(-k // a))
 
 
 @dataclass(frozen=True)
@@ -322,8 +320,8 @@ def dyadic_matchings(n: int) -> list[Matching]:
 # image-sum computation
 # ----------------------------------------------------------------------
 
-# Most entries a last-row lookup table holds per map.  A last row with more
-# free entries than one table covers moves its leading ones into the prefix.
+# Most entries a one-row cell's lookup table holds per map; a longer row moves
+# its leading free entries into the prefix.  Larger cells need no cap.
 _TABLE_CAP = 1 << 10
 
 
@@ -343,79 +341,85 @@ def _lex_table(combine, steps, base, gens) -> list:
     return table
 
 
-def _cell_scan(fam: MapFamily, maps_cols, pivots, free, need: dict[int, int]):
-    """Yields (dim, packed rows, image-sum dim) for every subspace of one
-    Schubert cell, free entries in lexicographic order.
+def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int]):
+    """Yields (d, packed rows, image-sum dim) for every dim-d subspace, one
+    Schubert cell at a time in canonical order, free entries in
+    lexicographic order.
 
-    With s = len(pivots), the prefix is the free values of rows 0..s-2,
-    plus the leading free values of the last row when it has more than a
-    lookup table covers.  spans[r] is the span of the images of rows
-    0..r-1; after each step it is rebuilt from the first row whose value
-    changed, and no span grows past need[s].  Each subspace then adds only
-    the images of its last row, read from per-map tables built once per cell
-    (once per prefix when the last row is split), and only when some
-    subspace needs them.  When the prefix span is exactly one short of the
-    need, the subspace reaches it iff some image lies outside that span, so
-    the images are only tested with `contains`, up to the first one outside.
+    In each cell the prefix is the free values of rows 0..d-2, and at d = 1
+    the leading free values of the row when it has more than a lookup table
+    covers.  spans[r] is the span of the images of rows 0..r-1; after each
+    step it is rebuilt from the first row whose value changed, and no span
+    grows past need[d].  Each subspace then adds only the images of its last
+    row, read from per-map tables built once per cell (once per prefix at
+    d = 1), and only when some subspace needs them.  When the prefix span is
+    exactly one short of the need, the subspace reaches it iff some image
+    lies outside that span, so the images are only tested with `contains`,
+    up to the first one outside.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
     pack, combine = vec.pack, vec.combine
-    d = len(pivots)
-    last = d - 1
-    row_free = [[c for i, c in free if i == r] for r in range(d)]
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
-    split = max(0, len(row_free[last]) - width)
-    head, tail = row_free[last][:split], row_free[last][split:]
     units = [pack(tuple(int(j == c) for j in range(n))) for c in range(n)]
     steps = [pack((1, a)) for a in range(p)]
-    choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in row_free[r]])
-               for r in range(last)]
-    choices.append(_lex_table(combine, steps, units[pivots[last]], [units[c] for c in head]))
-    spans = [make_row_span(p)] * d
-    prev, base = (None,) * d, None
-    for choice in itertools.product(*choices):
-        target = need[d]
-        r = 0
-        while choice[r] == prev[r]:
-            r += 1
-        prev = choice
-        for k in range(r, last):
-            span = spans[k]
-            if span.dim < target:
-                span = span.copy()
-                for cols in maps_cols:
-                    if span.add(combine(choice[k], cols)) is not None and span.dim >= target:
-                        break
-            spans[k + 1] = span
-        if choice[last] != base:
-            base = choice[last]
-            lasts = _lex_table(combine, steps, base, [units[c] for c in tail])
-            tables = None
-        rows = choice[:last]
-        span = spans[last]
-        reached = span.dim
-        for x, row in enumerate(lasts):
-            a = reached
-            if a < target:
-                if tables is None:
-                    tables = [_lex_table(combine, steps, combine(base, cols),
-                                         [cols[c] for c in tail]) for cols in maps_cols]
-                if a == target - 1:
-                    for table in tables:
-                        if not span.contains(table[x]):
-                            a = target
-                            break
-                else:
-                    grown = span.copy()
-                    for table in tables:
-                        if grown.add(table[x]) is not None and grown.dim >= target:
-                            break
-                    a = grown.dim
-            yield d, rows + (row,), a
+    empty = make_row_span(p)
+    last = d - 1
+    for pivots, free in subspace_cells(n, d):
+        # Only a one-row cell splits its row, since there a whole-row table
+        # is as large as the cell.  At d >= 2 row 0 has at least as many free
+        # entries as the last row, so `lasts` and the D map tables hold at
+        # most (D + 1) * sqrt(cell size) vectors, bounded by the enumeration
+        # budget, and are built once per cell.
+        split = max(0, len(free[last]) - width) if d == 1 else 0
+        head, tail = free[last][:split], free[last][split:]
+        tail_units = [units[c] for c in tail]
+        choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in cols])
+                   for r, cols in enumerate(free[:last] + (head,))]
+        spans = [empty] * d
+        prev, base = (None,) * d, None
+        for choice in itertools.product(*choices):
             target = need[d]
+            r = 0
+            while choice[r] == prev[r]:
+                r += 1
+            prev = choice
+            for k in range(r, last):
+                span = spans[k]
+                if span.dim < target:
+                    span = span.copy()
+                    for cols in maps_cols:
+                        if span.add(combine(choice[k], cols)) is not None and span.dim >= target:
+                            break
+                spans[k + 1] = span
+            if choice[last] != base:
+                base = choice[last]
+                lasts = _lex_table(combine, steps, base, tail_units)
+                tables = None
+            rows = choice[:last]
+            span = spans[last]
+            reached = span.dim
+            for x, row in enumerate(lasts):
+                a = reached
+                if a < target:
+                    if tables is None:
+                        tables = [_lex_table(combine, steps, combine(base, cols),
+                                             [cols[c] for c in tail]) for cols in maps_cols]
+                    if a == target - 1:
+                        for table in tables:
+                            if not span.contains(table[x]):
+                                a = target
+                                break
+                    else:
+                        grown = span.copy()
+                        for table in tables:
+                            if grown.add(table[x]) is not None and grown.dim >= target:
+                                break
+                        a = grown.dim
+                yield d, rows + (row,), a
+                target = need[d]
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +438,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
 
     Exhaustive mode (samples None) checks the enumeration budget of all dims
     before any work, then walks each Grassmannian cell by cell in canonical
-    order (`_cell_scan`), so the first subspace a caller picks is the
+    order (`_grassmann_scan`), so the first subspace a caller picks is the
     canonical first.  Sampled mode checks samples * len(need) draws against
     the same budget, then draws `samples` subspaces per dimension from one
     RNG seeded with `seed` (through the module name `sample_with_rng`, once
@@ -456,8 +460,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     maps_cols = _map_columns(fam, pack)
     if samples is None:
         for d in need:
-            for pivots, free, _ in subspace_cells(fam.n, d, p):
-                yield from _cell_scan(fam, maps_cols, pivots, free, need)
+            yield from _grassmann_scan(fam, maps_cols, d, need)
         return
     rng = random.Random(seed)
     for d in need:

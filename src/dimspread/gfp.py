@@ -253,14 +253,13 @@ class _Lanes(NamedTuple):
     A lane is `width` bits, the least multiple of 8 with p(p - 1) < 2**width,
     so it holds a residue plus one product (p - 1)**2 without carrying into
     the next lane.  A sum of terms c * row (c and every lane of row below p)
-    may take `fresh` terms from zero and `again` terms on top of reduced
-    lanes before `reduce`, which reduces every lane mod p, must run.
+    may take `again` terms on top of reduced lanes, and so at least as many
+    from zero, before `reduce`, which reduces every lane mod p, must run.
     pack and unpack convert between residue sequences and lanes.
     """
 
     width: int
     mask: int
-    fresh: int
     again: int
     reduce: Callable
     pack: Callable
@@ -305,17 +304,17 @@ def _lanes(p: int) -> _Lanes:
             return tuple((v >> (j * width)) & mask for j in range(n))
 
     top = (p - 1) ** 2
-    return _Lanes(width, mask, mask // top, (mask - (p - 1)) // top, reduce, pack, unpack)
+    return _Lanes(width, mask, (mask - (p - 1)) // top, reduce, pack, unpack)
 
 
 @functools.cache
 def _residue_vectors(p: int) -> FieldVectors:
     lanes = _lanes(p)
-    fresh, again, reduce, unpack = lanes.fresh, lanes.again, lanes.reduce, lanes.unpack
+    again, reduce, unpack = lanes.again, lanes.reduce, lanes.unpack
 
     def combine(coeffs: int, rows) -> int:
         acc = 0
-        room = fresh
+        room = again
         for c, row in zip(unpack(coeffs, len(rows)), rows):
             if c:
                 if not room:
@@ -518,7 +517,7 @@ class ModRowSpan:
     def reduce(self, v) -> int:
         """The canonical residue of v modulo the span."""
         p = self.p
-        _, mask, _, again, reduce, pack, _ = self.lanes
+        _, mask, again, reduce, pack, _ = self.lanes
         if not isinstance(v, int):
             v = pack(v)
         room = again

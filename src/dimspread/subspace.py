@@ -191,37 +191,33 @@ def grassmann_count(n: int, s: int, p: int) -> int:
     return num // den
 
 
-def subspace_cells(n: int, s: int, p: int):
-    """Schubert cells in canonical order: (pivots, free positions, size).
+def subspace_cells(n: int, s: int):
+    """Schubert cells in canonical order: (pivots, free columns of each row).
 
-    Free positions are listed row-major; a cell holds p**len(free) subspaces.
+    Row i of a cell's RREF basis has its pivot at pivots[i] and a free entry
+    in every later column that is not a pivot.
     """
-    cells = []
     for pivots in itertools.combinations(range(n), s):
         pivset = set(pivots)
-        free = [
-            (i, c)
-            for i in range(s)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivset
-        ]
-        cells.append((pivots, tuple(free), p ** len(free)))
-    return cells
+        yield pivots, tuple(
+            tuple(c for c in range(pivots[i] + 1, n) if c not in pivset) for i in range(s)
+        )
 
 
 def cell_subspaces(
-    field: FieldSpec, n: int, pivots: tuple[int, ...], free: tuple[tuple[int, int], ...]
+    field: FieldSpec, n: int, pivots: tuple[int, ...], free: tuple[tuple[int, ...], ...]
 ) -> Iterator[Subspace]:
-    """All subspaces of one Schubert cell, free entries in lexicographic order."""
+    """All subspaces of one Schubert cell, free entries lexicographic, row-major."""
     p = field.modulus
     s = len(pivots)
     base = [0] * (s * n)
     for i, c in enumerate(pivots):
         base[i * n + c] = 1
-    for values in itertools.product(range(p), repeat=len(free)):
+    slots = [i * n + c for i, cols in enumerate(free) for c in cols]
+    for values in itertools.product(range(p), repeat=len(slots)):
         entries = list(base)
-        for (i, c), v in zip(free, values):
-            entries[i * n + c] = v
+        for k, v in zip(slots, values):
+            entries[k] = v
         yield Subspace(field, n, Matrix(field, s, n, tuple(entries)))
 
 
@@ -244,7 +240,7 @@ def enumerate_subspaces(
         raise BudgetExceeded("subspace enumeration", count, enumeration_cap)
 
     def generate() -> Iterator[Subspace]:
-        for pivots, free, _ in subspace_cells(n, s, field.modulus):
+        for pivots, free in subspace_cells(n, s):
             yield from cell_subspaces(field, n, pivots, free)
 
     return generate()

@@ -288,11 +288,11 @@ def min_spanning_rank_ones(
             # span(chosen) + span(slices) has dimension r and cands are the
             # remaining pool indices inside it, ascending: the remaining picks
             # are a basis completion of cur among them, and the greedy pass by
-            # index finds the first.
+            # index finds the first.  A pick remains: from `attempt` none is
+            # made, and from `dfs` r - 1 earlier picks inside joint (dim r - 1)
+            # would span the slices, which attempt(r - 1) would have returned.
             nonlocal steps
             need = r - len(chosen)
-            if not need:
-                return True
             toks = []
             for i in cands:
                 if pool_n - i < need:

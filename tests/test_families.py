@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -163,19 +164,26 @@ def test_word_length_frozen_values():
 
 
 def test_word_length_is_least_valid():
+    def strict(k, eps, tau):  # k > 3*log2(1/eps)/tau, in exact integer form
+        a, b = tau.numerator, tau.denominator
+        return 2 ** (k * a) * eps.numerator ** (3 * b) > eps.denominator ** (3 * b)
+
     rng = random.Random(19)
+    cases = []
     for _ in range(40):
         eps = Fraction(1, rng.randrange(2, 40))
-        tau = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        cases.append((eps, Fraction(rng.randrange(1, 9), rng.randrange(1, 9))))
+    # numerators above 1, denominators up to 10**30
+    for _ in range(40):
+        den = rng.randrange(3, 10 ** rng.randrange(1, 31) + 1)
+        eps = Fraction(rng.randrange(2, den), den)
+        cases.append((eps, Fraction(rng.randrange(1, 9), rng.randrange(1, 9))))
+    cases += [(Fraction(7, 10**30), Fraction(1, 3)), (Fraction(10**30 - 1, 10**30), Fraction(1, 7))]
+    for eps, tau in cases:
         t = word_length_for(eps, tau)
-
-        def strict(k):  # k > 3*log2(1/eps)/tau, in exact integer form
-            a, b = tau.numerator, tau.denominator
-            return 2 ** (k * a) * eps.numerator ** (3 * b) > eps.denominator ** (3 * b)
-
-        assert t >= 1 and strict(t)
+        assert t >= 1 and strict(t, eps, tau)
         if t > 1:
-            assert not strict(t - 1)
+            assert not strict(t - 1, eps, tau)
 
 
 def test_word_length_rejects_bad_arguments():
@@ -507,3 +515,23 @@ def test_last_row_tables_stay_under_the_cap():
         tracemalloc.stop()
     assert res.verified
     assert peak < 2**15 * len(fam.maps) * 8
+
+
+def test_last_row_tables_are_built_once_per_cell(monkeypatch):
+    # At cap 4 a GF(2) table covers two free entries, and the last rows of
+    # GF(2) n=6 at d = 2 have up to four.  Only one-row cells split, so each
+    # cell builds d row tables, one last-row table and D map tables; with the
+    # need at n no prefix span reaches it, and every cell needs its map tables.
+    fam = matching_maps(shift_matchings(6), GF2)
+    d, builds = 2, []
+    lex_table = families_module._lex_table
+
+    def counted(*args):
+        builds.append(1)
+        return lex_table(*args)
+
+    monkeypatch.setattr(families_module, "_TABLE_CAP", 4)
+    monkeypatch.setattr(families_module, "_lex_table", counted)
+    scan = list(families_module._image_sums(fam, {d: fam.n}, None, None, 10**6, "test"))
+    assert len(scan) == grassmann_count(6, d, 2)
+    assert len(builds) <= math.comb(6, d) * (d + 1 + len(fam.maps))

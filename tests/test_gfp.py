@@ -259,7 +259,7 @@ def test_make_row_span_dispatch():
     assert isinstance(make_row_span(3), ModRowSpan)
 
 
-# One prime per vector regime: bits, 8-bit lanes reduced after 63, 15, 7 and
+# One prime per vector regime: bits, 8-bit lanes reduced after 63, 15, 6 and
 # 1 terms, and 16-, 24- and 32-bit lanes.
 PRIMES = [2, 3, 5, 7, 13, 17, 257, 65521]
 
@@ -343,7 +343,7 @@ def test_row_span_packs_residue_lists_on_entry(p):
 
 # Terms per lane reduction: with every coefficient and entry p - 1, each term
 # adds (p - 1)**2 to a lane, so these counts cross each lane's term budget
-# (63 terms at p = 3, 15 at p = 5, 7 at p = 7, one at p = 13 and p = 65521;
+# (63 terms at p = 3, 15 at p = 5, 6 at p = 7, one at p = 13 and p = 65521;
 # 255 for the 16- and 24-bit lanes of 17 and 257) at least twice.
 WORST_TERMS = {3: 130, 5: 34, 7: 18, 13: 4, 17: 520, 257: 520, 65521: 4}
 

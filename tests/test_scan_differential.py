@@ -282,9 +282,10 @@ def test_kernel_large_expansion_matches_slow_route(fam):
                                  [f for f in FAMILIES if f.field.modulus == 5][-1]],
                          ids=lambda f: f"p{f.field.modulus}n{f.n}D{len(f.maps)}")
 def test_split_last_rows_match_slow_route(fam, cap, monkeypatch):
-    # With the table cap at 1 every free entry of a last row joins the
-    # prefix; at 4 a GF(2) table covers two entries, a GF(3) one one and a
-    # GF(5) one none, so prefix and table share the last row.
+    # Splits happen only in one-row cells.  With the table cap at 1
+    # every free entry of such a row joins the prefix; at 4 a GF(2) table
+    # covers two entries, a GF(3) one one and a GF(5) one none, so prefix and
+    # table share the row.
     monkeypatch.setattr(families_module, "_TABLE_CAP", cap)
     check_scan_order(fam)
     check_exhaustive(fam)
