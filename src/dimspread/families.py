@@ -11,19 +11,23 @@ work: the Gaussian binomials of the scanned dimensions when exhaustive, the
 number of draws when sampled.
 
 Exhaustive scans walk each Grassmannian one Schubert cell at a time on
-packed basis rows (`_grassmann_scan`, set up once per dimension).  The span
-of the images of rows 0..s-2 is built once per prefix of free values and
-shared by every subspace that extends it; each subspace then adds only the
-images of its last row, read from per-map lookup tables built once per
-cell.  Only a one-row cell caps its tables at `_TABLE_CAP` entries: a longer
-row moves its leading free entries into the prefix, and its tables are built
-once per prefix.  Adding stops as soon
-as the span reaches what the caller needs: the threshold when verifying,
-the least value found so far when measuring, n for the large-subspace
-records.  A prefix span one short of the need only tests the last row's
-images for membership, up to the first one outside it.  A `Subspace` is
-built only for the counterexample or witness reported, which is the same
-canonical first one a subspace-by-subspace walk finds.
+packed basis rows (`_grassmann_scan`, set up once per dimension), and each
+cell's rows as a tree.  The span of the images of rows 0..k-1 is built once
+per prefix of free values and shared by every subspace that extends it.
+Once it reaches what the caller needs, the whole subtree below the prefix is
+decided and comes out as one block: its first subspace, the span's dim and
+its member count.  An undecided subspace adds only the images of its last
+row, read from per-map lookup tables built once per cell.  Only a one-row
+cell caps its tables at `_TABLE_CAP` entries: a longer row moves its leading
+free entries into the prefix, and its tables are built once per prefix.
+Adding stops as soon as the span reaches the need: the threshold when
+verifying, the least value found so far when measuring, n for the
+large-subspace records.  A span one short of the need only tests the next
+row's images for membership, up to the first one outside it.  The
+block and subspace counts of each dimension are checked against its
+Gaussian binomial.  A `Subspace` is built only for the counterexample or
+witness reported, which is the same canonical first one a
+subspace-by-subspace walk finds.
 
 Sampled scans add each draw's images, map by map, under the same rule, so
 a draw that reaches the need costs no more adds than it takes to get there.
@@ -33,7 +37,6 @@ Every scan runs in one thread.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -341,21 +344,32 @@ def _lex_table(combine, steps, base, gens) -> list:
     return table
 
 
-def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int]):
-    """Yields (d, packed rows, image-sum dim) for every dim-d subspace, one
-    Schubert cell at a time in canonical order, free entries in
-    lexicographic order.
+def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nominal: int):
+    """Yields items (d, packed rows, a, count) that cover every dim-d
+    subspace once, one Schubert cell at a time in canonical order, free
+    entries in lexicographic order.
 
-    In each cell the prefix is the free values of rows 0..d-2, and at d = 1
-    the leading free values of the row when it has more than a lookup table
+    An item stands for the next `count` subspaces of that order, and `rows`
+    is the first of them.  Each of them has an image-sum dim of at least a,
+    and a is exact when it is below need[d].  A subspace decided only by its
+    last row is an item of count 1.  Once the images of rows 0..k-1 of a
+    prefix span need[d] or more, the rest of its subtree is one item, a
+    block, whose a is the dim of that span (grown no further than need[d]):
+    every member's image sum contains it.
+
+    The rows are walked as a tree by an odometer (`idx`, `cur`).  In each
+    cell the prefix is the free values of rows 0..d-2, and at d = 1 the
+    leading free values of the row when it has more than a lookup table
     covers.  spans[r] is the span of the images of rows 0..r-1; after each
-    step it is rebuilt from the first row whose value changed, and no span
-    grows past need[d].  Each subspace then adds only the images of its last
-    row, read from per-map tables built once per cell (once per prefix at
-    d = 1), and only when some subspace needs them.  When the prefix span is
-    exactly one short of the need, the subspace reaches it iff some image
-    lies outside that span, so the images are only tested with `contains`,
-    up to the first one outside.
+    step it is rebuilt from the row whose value changed, and no span grows
+    past need[d].  An undecided subspace then adds only the images of its
+    last row, read from per-map tables built once per cell (once per prefix
+    at d = 1), and only when some subspace needs them.  When a span is
+    exactly one short of the need, the next row reaches it iff one of its
+    images lies outside that span, so the images are only tested with
+    `contains`, up to the first one outside, and no span is built.  The
+    caller may lower need[d] between items.  The counts, summed per prefix or block, must come to `nominal`,
+    the dimension's Gaussian binomial; RuntimeError otherwise.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
@@ -367,6 +381,7 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int]):
     steps = [pack((1, a)) for a in range(p)]
     empty = make_row_span(p)
     last = d - 1
+    covered = 0
     for pivots, free in subspace_cells(n, d):
         # Only a one-row cell splits its row, since there a whole-row table
         # is as large as the cell.  At d >= 2 row 0 has at least as many free
@@ -378,48 +393,85 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int]):
         tail_units = [units[c] for c in tail]
         choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in cols])
                    for r, cols in enumerate(free[:last] + (head,))]
+        # below[r]: subspaces in the subtree of one value of rows 0..r-1
+        below = [p ** len(tail)] * (d + 1)
+        for r in range(last, -1, -1):
+            below[r] = below[r + 1] * len(choices[r])
+        idx = [0] * d
+        cur = [c[0] for c in choices]
         spans = [empty] * d
-        prev, base = (None,) * d, None
-        for choice in itertools.product(*choices):
+        base = None
+        k = 0
+        while True:
+            # rows 0..k-1 are unchanged since spans[k] was built, and every
+            # index after k is 0
             target = need[d]
-            r = 0
-            while choice[r] == prev[r]:
-                r += 1
-            prev = choice
-            for k in range(r, last):
-                span = spans[k]
-                if span.dim < target:
+            span = spans[k]
+            a = span.dim
+            while a < target and k < last:
+                row = cur[k]
+                if a == target - 1:
+                    # row k decides the prefix iff one of its images leaves the
+                    # span; if none does, it adds nothing, and a block never
+                    # reads the span it would have built
+                    for cols in maps_cols:
+                        if not span.contains(combine(row, cols)):
+                            a = target
+                            break
+                else:
                     span = span.copy()
                     for cols in maps_cols:
-                        if span.add(combine(choice[k], cols)) is not None and span.dim >= target:
+                        if span.add(combine(row, cols)) is not None and span.dim >= target:
                             break
-                spans[k + 1] = span
-            if choice[last] != base:
-                base = choice[last]
-                lasts = _lex_table(combine, steps, base, tail_units)
-                tables = None
-            rows = choice[:last]
-            span = spans[last]
-            reached = span.dim
-            for x, row in enumerate(lasts):
-                a = reached
-                if a < target:
-                    if tables is None:
-                        tables = [_lex_table(combine, steps, combine(base, cols),
-                                             [cols[c] for c in tail]) for cols in maps_cols]
-                    if a == target - 1:
-                        for table in tables:
-                            if not span.contains(table[x]):
-                                a = target
-                                break
-                    else:
-                        grown = span.copy()
-                        for table in tables:
-                            if grown.add(table[x]) is not None and grown.dim >= target:
-                                break
-                        a = grown.dim
-                yield d, rows + (row,), a
-                target = need[d]
+                    a = span.dim
+                k += 1
+                spans[k] = span
+            if a >= target:
+                count = (len(choices[k]) - idx[k]) * below[k + 1]
+                covered += count
+                yield d, tuple(cur), a, count
+                idx[k] = len(choices[k]) - 1  # the carry below leaves row k's subtree
+            else:
+                if cur[last] != base:
+                    base = cur[last]
+                    lasts = _lex_table(combine, steps, base, tail_units)
+                    tables = None
+                covered += len(lasts)
+                rows = tuple(cur[:last])
+                reached = a
+                for x, row in enumerate(lasts):
+                    a = reached
+                    if a < target:
+                        if tables is None:
+                            tables = [_lex_table(combine, steps, combine(base, cols),
+                                                 [cols[c] for c in tail]) for cols in maps_cols]
+                        if a == target - 1:
+                            for table in tables:
+                                if not span.contains(table[x]):
+                                    a = target
+                                    break
+                        else:
+                            grown = span.copy()
+                            for table in tables:
+                                if grown.add(table[x]) is not None and grown.dim >= target:
+                                    break
+                            a = grown.dim
+                    yield d, rows + (row,), a, 1
+                    target = need[d]
+            # next value of row k, carrying into earlier rows
+            while k >= 0:
+                i = idx[k] + 1
+                if i < len(choices[k]):
+                    idx[k] = i
+                    cur[k] = choices[k][i]
+                    break
+                idx[k] = 0
+                cur[k] = choices[k][0]
+                k -= 1
+            if k < 0:
+                break
+    if covered != nominal:
+        raise RuntimeError(f"scan of dim {d} covered {covered} subspaces, not {nominal}")
 
 
 # ----------------------------------------------------------------------
@@ -429,24 +481,30 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int]):
 
 def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                 seed: int | None, enumeration_cap: int, stage: str):
-    """Yields (dim, packed basis rows, image-sum dim) for each dimension of
-    `need`, in its order.
+    """Yields (dim, packed basis rows, a, count) for each dimension of
+    `need`, in its order: the next `count` subspaces, the first of which
+    has these rows, all have image-sum dim >= a.
 
     need[d] is the image-sum dim a dim-d subspace has to reach: a subspace
     that reaches it may be reported with any value >= need[d], and one below
-    it with its exact value.  The caller may lower need[d] between items.
+    it with its exact value.  An item with count > 1 always has a >= need[d],
+    so it holds no subspace below the need.  The caller may lower need[d]
+    between items.
 
     Exhaustive mode (samples None) checks the enumeration budget of all dims
     before any work, then walks each Grassmannian cell by cell in canonical
-    order (`_grassmann_scan`), so the first subspace a caller picks is the
-    canonical first.  Sampled mode checks samples * len(need) draws against
-    the same budget, then draws `samples` subspaces per dimension from one
-    RNG seeded with `seed` (through the module name `sample_with_rng`, once
-    per draw) and adds their images until the span reaches need[d].
+    order (`_grassmann_scan`, which checks its counts against the Gaussian
+    binomials computed for the budget), so the first subspace a caller picks
+    is the canonical first.  Sampled mode checks samples * len(need) draws
+    against the same budget, then draws `samples` subspaces per dimension
+    from one RNG seeded with `seed` (through the module name
+    `sample_with_rng`, once per draw), adds their images until the span
+    reaches need[d], and yields each draw with count 1.
     """
     p = fam.field.modulus
     if samples is None:
-        total = sum(grassmann_count(fam.n, d, p) for d in need)
+        nominal = {d: grassmann_count(fam.n, d, p) for d in need}
+        total = sum(nominal.values())
     else:
         if seed is None:
             raise ValueError("sampled mode requires a seed")
@@ -460,7 +518,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     maps_cols = _map_columns(fam, pack)
     if samples is None:
         for d in need:
-            yield from _grassmann_scan(fam, maps_cols, d, need)
+            yield from _grassmann_scan(fam, maps_cols, d, need, nominal[d])
         return
     rng = random.Random(seed)
     for d in need:
@@ -475,7 +533,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                 for v in rows:
                     if span.add(combine(v, cols)) is not None and span.dim >= target:
                         break
-            yield d, rows, span.dim
+            yield d, rows, span.dim, 1
 
 
 def _subspace(fam: MapFamily, rows) -> Subspace:
@@ -489,12 +547,13 @@ def _first_violation(fam: MapFamily, thresholds: dict[int, int], samples: int | 
                      seed: int | None, enumeration_cap: int, stage: str) -> SpreadingResult:
     """Verdict from the first subspace whose image-sum dim is below the
     threshold of its dimension: the first in canonical order when exhaustive,
-    the first drawn when sampled."""
+    the first drawn when sampled.  A block's a reaches the threshold, so a
+    block never holds the violation."""
     exhaustive = samples is None
     if exhaustive:
         seed = None
     need = dict(sorted(thresholds.items()))
-    for d, rows, a in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
+    for d, rows, a, _ in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
         if a < thresholds[d]:
             return SpreadingResult(False, exhaustive, _subspace(fam, rows), a,
                                    samples=samples, seed=seed)
@@ -506,11 +565,13 @@ def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int 
     """{dim: (least image-sum dim, first subspace attaining it)}.
 
     Once a dimension has a minimum, a subspace only needs to reach it to be
-    ruled out, so the scan counts no further.
+    ruled out, so the scan counts no further, and a block of subspaces that
+    all reach it is ruled out whole.  A dimension's first item seeds the
+    minimum with the canonical first subspace, block or not.
     """
     need = {d: fam.n for d in dims}
     best: dict[int, tuple[int, tuple]] = {}
-    for d, rows, a in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
+    for d, rows, a, _ in _image_sums(fam, need, samples, seed, enumeration_cap, stage):
         if d not in best or a < best[d][0]:
             best[d] = (a, rows)
             need[d] = a
@@ -645,14 +706,14 @@ def verify_large_expansion(
     records = []
     shared: dict[tuple[int, int], LargeExpansionRecord] = {}
     hit = None
-    for d, rows, a in _image_sums(fam, {d: n for d in dims}, None, None, enumeration_cap,
-                                  "large-subspace expansion"):
+    for d, rows, a, count in _image_sums(fam, {d: n for d in dims}, None, None,
+                                         enumeration_cap, "large-subspace expansion"):
         rec = shared.get((d, a))
         if rec is None:
             delta = Fraction(a, d) - 1
             rec = LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d])
             shared[(d, a)] = rec
-        records.append(rec)
+        records.extend([rec] * count)  # the need is n: a block's members all have a = n
         if hit is None and a < thresholds[d]:
             hit = (_subspace(fam, rows), a)
     if hit is None:

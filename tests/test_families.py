@@ -27,7 +27,7 @@ from dimspread.families import (
     word_length_for,
     words,
 )
-from dimspread.gfp import GF2, FieldSpec, Matrix
+from dimspread.gfp import GF2, FieldSpec, Matrix, vectors
 from dimspread.subspace import grassmann_count
 from oracles import image_sum_dim, rank_mod_p, replay_draws
 
@@ -533,5 +533,56 @@ def test_last_row_tables_are_built_once_per_cell(monkeypatch):
     monkeypatch.setattr(families_module, "_TABLE_CAP", 4)
     monkeypatch.setattr(families_module, "_lex_table", counted)
     scan = list(families_module._image_sums(fam, {d: fam.n}, None, None, 10**6, "test"))
-    assert len(scan) == grassmann_count(6, d, 2)
+    assert sum(count for *_, count in scan) == grassmann_count(6, d, 2)
     assert len(builds) <= math.comb(6, d) * (d + 1 + len(fam.maps))
+
+
+def shift_words_7():
+    # the 13 distinct length-3 words of symmetrized shift n=7
+    return words(symmetrize(matching_maps(shift_matchings(7), GF2)), 3)
+
+
+def test_blocks_fire_at_several_depths():
+    # With the need at n, a block is emitted at the shortest prefix of rows
+    # whose images span everything: row 0 alone, or rows 0 and 1.
+    fam = shift_words_7()
+    d, n = 3, fam.n
+    maps = [m.entries for m in fam.maps]
+    items = list(families_module._image_sums(fam, {d: n}, None, None, 10**6, "test"))
+    assert sum(count for *_, count in items) == grassmann_count(n, d, 2)
+    depths = set()
+    for _, rows, a, count in items:
+        basis = families_module._subspace(fam, rows).basis.row_lists()
+        if count > 1:
+            assert a == n
+            depth = next(k for k in range(1, d + 1)
+                         if image_sum_dim(maps, basis[:k], n, 2) == n)
+            assert depth < d
+            depths.add(depth)
+        else:
+            assert a == min(n, image_sum_dim(maps, basis, n, 2))
+    assert depths == {1, 2}
+
+
+def test_scan_checks_its_counts():
+    # the counts of a dimension must sum to the Gaussian binomial it is given
+    fam = shift_words_7()
+    p, n, d = 2, fam.n, 3
+    maps_cols = families_module._map_columns(fam, vectors(p).pack)
+    nominal = grassmann_count(n, d, p)
+    assert sum(item[3] for item in families_module._grassmann_scan(
+        fam, maps_cols, d, {d: n}, nominal)) == nominal
+    with pytest.raises(RuntimeError, match="covered 11811 subspaces, not 11812"):
+        list(families_module._grassmann_scan(fam, maps_cols, d, {d: n}, nominal + 1))
+
+
+@pytest.mark.parametrize("fam, need, items, subspaces", [
+    (shift_words_7(), {3: 7}, 806, 11811),
+    (matching_maps(shift_matchings(6), GF2), {4: 6, 5: 6}, 329, 714),
+], ids=["shift-words-7", "shift-6"])
+def test_scan_skips_decided_subtrees(fam, need, items, subspaces):
+    # Work counter: a scan that walks every subspace below a prefix that
+    # already reaches the need yields one item per subspace instead.
+    scan = list(families_module._image_sums(fam, need, None, None, 10**6, "test"))
+    assert len(scan) == items
+    assert sum(count for *_, count in scan) == subspaces

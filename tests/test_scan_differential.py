@@ -244,18 +244,30 @@ def prefix_spans_everything(fam):
 
 
 def check_scan_order(fam):
-    """The exhaustive scan itself: subspaces in canonical order, exact image
-    sums below need[d], and at least need[d] otherwise."""
+    """The exhaustive scan itself.  Each item (d, rows, a, count) stands for
+    the next `count` subspaces of the canonical order, of which `rows` is the
+    first: every one of them has an image sum of at least a, and a is exact
+    below need[d].  A block (count > 1) is only ever emitted at or above
+    need[d]."""
     n = fam.n
     dims = range(1, n + 1)
     scan = list(slow_scan(fam, dims))
     for t in range(n + 1):
-        got = list(families_module._image_sums(fam, {d: t for d in dims}, None, None,
-                                               10**6, "test"))
-        assert len(got) == len(scan)
-        for (d, rows, a), (want_d, want_sub, exact) in zip(got, scan):
-            assert (d, families_module._subspace(fam, rows)) == (want_d, want_sub)
+        got = families_module._image_sums(fam, {d: t for d in dims}, None, None,
+                                          10**6, "test")
+        pos = 0
+        for d, rows, a, count in got:
+            assert count >= 1
+            members = scan[pos:pos + count]
+            assert len(members) == count
+            assert all(want_d == d for want_d, _, _ in members)
+            assert families_module._subspace(fam, rows) == members[0][1]
+            assert all(exact >= a for _, _, exact in members)
+            exact = members[0][2]
             assert a == exact if exact < t else a >= t
+            assert count == 1 or a >= t
+            pos += count
+        assert pos == len(scan)
 
 
 def test_kernel_cases_reach_the_block_shortcut():
