@@ -368,8 +368,9 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
     exactly one short of the need, the next row reaches it iff one of its
     images lies outside that span, so the images are only tested with
     `contains`, up to the first one outside, and no span is built.  The
-    caller may lower need[d] between items.  The counts, summed per prefix or block, must come to `nominal`,
-    the dimension's Gaussian binomial; RuntimeError otherwise.
+    caller may lower need[d] between items.  The counts, summed per prefix
+    or block, must come to `nominal`, the dimension's Gaussian binomial;
+    RuntimeError otherwise.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
