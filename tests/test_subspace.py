@@ -1,5 +1,6 @@
 """Canonical subspaces: arithmetic, enumeration order, sampling."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from dimspread.subspace import (
     sample_with_rng,
     span_of,
 )
-from oracles import gaussian_binomial, replay_draws
+from oracles import gaussian_binomial, rank_mod_p, replay_draws, rref_mod_p
 
 F3 = FieldSpec(3)
 
@@ -80,6 +81,51 @@ def test_membership_and_containment():
     assert not (u <= line(F3, 1, 0, 2))
     with pytest.raises(ValueError):
         (1, 0) in u
+
+
+def _all_subspaces(n, p):
+    field = FieldSpec(p)
+    return [u for s in range(n + 1) for u in enumerate_subspaces(n, s, field)]
+
+
+def _rows(u):
+    return [u.basis.row(i) for i in range(u.dim)]
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (2, 3)])
+def test_containment_matches_rank_oracle(n, p):
+    # U <= W exactly when stacking U's basis under W's leaves the rank at dim W.
+    subs = _all_subspaces(n, p)
+    for u, w in itertools.product(subs, repeat=2):
+        assert (u <= w) == (rank_mod_p(_rows(w) + _rows(u), p) == w.dim)
+
+
+def test_membership_matches_rank_oracle():
+    # v in U exactly when appending v leaves the rank at dim U; entries are
+    # read mod p, so v - p (entrywise) gives the same answer.
+    n, p = 2, 5
+    for u in _all_subspaces(n, p):
+        for v in itertools.product(range(p), repeat=n):
+            want = rank_mod_p(_rows(u) + [v], p) == u.dim
+            assert (v in u) == want
+            assert (tuple(x - p for x in v) in u) == want
+
+
+@pytest.mark.parametrize("p, rows, cols", [(2, 3, 3), (3, 3, 2), (5, 2, 3)])
+def test_apply_map_matches_entrywise_images(p, rows, cols):
+    # The image of U is the row space of the images M v of U's basis vectors,
+    # each formed entry by entry; maps may be non-square.
+    field = FieldSpec(p)
+    rng = random.Random(p * 100 + rows * 10 + cols)
+    subs = _all_subspaces(cols, p)
+    for _ in range(4):
+        m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+        mat = Matrix.from_rows(field, m)
+        for u in subs:
+            images = [[sum(a * b for a, b in zip(r, v)) % p for r in m] for v in _rows(u)]
+            img = apply_map(mat, u)
+            assert img.ambient == rows
+            assert _rows(img) == rref_mod_p(images, p)
 
 
 def test_apply_map_identity():
@@ -212,14 +258,15 @@ def test_sampling_is_roughly_uniform():
 
 
 @pytest.mark.parametrize("p, shapes", [
-    (2, [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3)]),
-    (3, [(2, 2), (3, 1), (4, 4), (5, 2)]),
-    (5, [(1, 1), (3, 3), (4, 2)]),
+    (2, [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3), (3, 0)]),
+    (3, [(2, 2), (3, 1), (4, 4), (5, 2), (4, 0)]),
+    (5, [(1, 1), (3, 3), (4, 2), (3, 0)]),
 ])
 def test_sampler_matches_plain_int_replay(p, shapes):
     # The draw protocol is part of the contract: the same seed must give the
     # same subspaces and leave the RNG in the same state.  s = n shapes reject
     # most attempts over GF(2): about 0.3 of square draws are invertible.
+    # s = 0 shapes give the zero subspace and draw nothing.
     field = FieldSpec(p)
     for n, s in shapes:
         for seed in range(3):
