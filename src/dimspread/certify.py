@@ -123,10 +123,7 @@ def refute_spreading(
     `check_trace` re-derives the verdict from scratch.
     """
     n = fam.n
-    if params.t < 1:
-        raise ValueError("refutation requires t >= 1; (s, 0)-spreading cannot fail")
-    if not 1 <= params.s <= n:
-        raise ValueError(f"s={params.s} is not between 1 and n={n}")
+    bound = rank_bound(n, params)  # checks t >= 1 and s <= n
     if params.t > n:
         raise ValueError(f"t={params.t} exceeds n={n}")
     if dec.field != fam.field:
@@ -139,7 +136,6 @@ def refute_spreading(
     if eval_decomposition(dec) != family_tensor(fam):
         raise DecompositionMismatch("decomposition does not evaluate to the family tensor")
     r = len(dec.terms)
-    bound = rank_bound(n, params)
     if r >= bound:
         raise TooManyTerms(
             f"{r} terms cannot refute ({params.s}, {params.t})-spreading on "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded
-from .gfp import FieldSpec, Matrix, _rref_dense, kernel_basis, make_row_span, rref, vectors
+from .gfp import FieldSpec, Matrix, _rref_dense, kernel_basis, rref
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -77,23 +77,16 @@ class Subspace:
         return intersect(self, other)
 
     def __le__(self, other: "Subspace") -> bool:
-        """Containment: self is a subspace of other."""
-        self._check_compatible(other)
-        pack = vectors(self.field.modulus).pack
-        span = make_row_span(self.field.modulus)
-        for i in range(other.dim):
-            span.add(pack(other.basis.row(i)))
-        return all(span.contains(pack(self.basis.row(i))) for i in range(self.dim))
+        """Containment: self is a subspace of other.  Canonical bases make
+        it an equality test."""
+        return self + other == other
 
     def __contains__(self, vector) -> bool:
         vec = tuple(x % self.field.modulus for x in vector)
         if len(vec) != self.ambient:
             raise ValueError("vector length does not match the ambient dimension")
-        pack = vectors(self.field.modulus).pack
-        span = make_row_span(self.field.modulus)
-        for i in range(self.dim):
-            span.add(pack(self.basis.row(i)))
-        return span.contains(pack(vec))
+        stacked = Matrix(self.field, self.dim + 1, self.ambient, self.basis.entries + vec)
+        return span_of(stacked) == self
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient != other.ambient:
@@ -142,12 +135,8 @@ def apply_map(m: Matrix, u: Subspace) -> Subspace:
         raise ValueError("mixed fields")
     if m.cols != u.ambient:
         raise ValueError("map domain does not match the subspace's ambient space")
-    p = m.field.modulus
-    rows = []
-    for i in range(u.dim):
-        v = u.basis.row(i)
-        rows.append([sum(m.at(j, k) * v[k] for k in range(m.cols)) % p for j in range(m.rows)])
-    return span_of(Matrix.from_rows(m.field, rows, cols=m.rows))
+    # row i of basis @ m^T is m applied to basis vector i
+    return span_of(u.basis @ m.transpose())
 
 
 def annihilator(u: Subspace) -> Subspace:
@@ -259,13 +248,12 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Sub
     attempt of full row rank is canonicalized.  Uniformity follows because
     every s-dimensional subspace has the same number of ordered bases.  The
     rows are reduced in place, and only the accepted draw is built into a
-    `Matrix` and a `Subspace`.
+    `Matrix` and a `Subspace`.  At s = 0 the first attempt draws nothing and
+    is the zero subspace.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
     p = field.modulus
-    if s == 0:
-        return Subspace.zero(field, n)
     while True:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(s)]
         rows, rank, _ = _rref_dense(rows, n, p)
