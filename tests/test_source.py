@@ -1,4 +1,6 @@
-"""Source rules: README promises no floats, so none may enter `src/dimspread`."""
+"""Source rules: README promises no floats, so none may enter `src/dimspread`;
+and the exact subspace layer stays off the packed vectors the scans use, so
+the invariants it checks do not share code with them."""
 
 import ast
 from pathlib import Path
@@ -40,3 +42,34 @@ def test_float_uses_finds_each_kind():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_floats_in_source(path):
     assert float_uses(path.read_text()) == []
+
+
+# The packed-vector layer of `gfp`: only the scans and the rank search use it.
+PACKED = {"vectors", "make_row_span", "Gf2RowSpan", "ModRowSpan", "pack_bits"}
+
+
+def packed_uses(source: str) -> list[str]:
+    """Names of the packed-vector layer that `source` imports or reaches as
+    attributes, as 'line: name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in PACKED]
+        elif isinstance(node, ast.Attribute) and node.attr in PACKED:
+            found.append(f"{node.lineno}: {node.attr}")
+    return found
+
+
+def test_packed_uses_finds_each_kind():
+    source = ("from .gfp import Matrix, vectors, make_row_span as mk\n"
+              "from dimspread.gfp import Gf2RowSpan\n"
+              "import dimspread.gfp as gfp\n"
+              "span = gfp.ModRowSpan(3)\nbits = gfp.pack_bits([1, 0])\n"
+              "vectors = Matrix\nrows = vectors.rows\n")
+    assert sorted(packed_uses(source)) == ["1: make_row_span", "1: vectors", "2: Gf2RowSpan",
+                                           "4: ModRowSpan", "5: pack_bits"]
+
+
+@pytest.mark.parametrize("name", ["subspace.py", "certify.py"])
+def test_exact_layer_uses_no_packed_vectors(name):
+    assert packed_uses((SRC / name).read_text()) == []
