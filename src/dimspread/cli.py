@@ -62,6 +62,10 @@ from .tensor import DEFAULT_POOL_CAP, DEFAULT_STEP_CAP, pool_size, tensor_rank
 
 __all__ = ["RunConfig", "main", "entry"]
 
+# Most matrix entries `build-maps` writes for a generated family: far above
+# any family a scan can take, and checked before anything is built.
+_FAMILY_ENTRY_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -156,14 +160,23 @@ def _counterexample_items(achieved: int, sub: Subspace) -> list[tuple[str, objec
 def _cmd_build_maps(args: argparse.Namespace) -> int:
     field = FieldSpec(args.field)
     kind = args.kind
-    if kind in ("shifts", "dyadic"):
-        if args.n is None:
+    if kind in ("shifts", "dyadic", "random"):
+        n = args.n
+        if n is None:
             raise ValueError(f"--n is required for kind {kind!r}")
+        if n < 1:
+            raise ValueError(f"--n must be at least 1, got {n}")
+        # dyadic: the identity plus one shift per power of two below n
+        count = {"shifts": 3, "dyadic": 1 + (n - 1).bit_length()}.get(kind, args.count)
+        if n * n * count > _FAMILY_ENTRY_CAP:
+            raise ValueError(
+                f"a family of {count} maps of size {n} x {n} has {n * n * count} entries, "
+                f"more than build-maps builds ({_FAMILY_ENTRY_CAP})"
+            )
+    if kind in ("shifts", "dyadic"):
         make = shift_matchings if kind == "shifts" else dyadic_matchings
         fam = matching_maps(make(args.n), field)
     elif kind == "random":
-        if args.n is None:
-            raise ValueError("--n is required for kind 'random'")
         if args.seed is None:
             raise ValueError("--seed is required for kind 'random' (reproducibility)")
         rng = random.Random(args.seed)

@@ -96,6 +96,35 @@ def test_build_maps_usage_errors(run):
     assert code == 2 and "--seed" in err
     code, _, err = run("build-maps", "--kind", "matchings-file")
     assert code == 2 and "--input" in err
+    code, _, err = run("build-maps", "--kind", "random", "--n", "0", "--count", "100000000",
+                       "--seed", "1")
+    assert code == 2 and "--n must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("--kind", "shifts", "--n", "50000"), "7500000000 entries"),
+    (("--kind", "dyadic", "--n", "2000"), "48000000 entries"),
+    (("--kind", "random", "--n", "3", "--count", "100000000", "--seed", "1"),
+     "900000000 entries"),
+])
+def test_build_maps_rejects_oversized_families_before_building(run, argv, size):
+    # Building these would run out of memory or take minutes; the size is
+    # known from the arguments, so the command must refuse at once.
+    def hung(signum, frame):
+        raise TimeoutError("build-maps built an oversized family")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run("build-maps", *argv)
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and size in err
+    assert elapsed < 1.0
 
 
 def test_build_maps_matchings_file(run, tmp_path):
