@@ -255,7 +255,7 @@ def min_spanning_rank_ones(
         if m.field != field or (m.rows, m.cols) != (d2, d3):
             raise ValueError("slices have inconsistent shapes or fields")
 
-    pack = vectors(p).pack
+    pack, unpack, _ = vectors(p)
     base = make_row_span(p)
     for m in slices:
         base.add(pack(m.entries))
@@ -270,11 +270,10 @@ def min_spanning_rank_ones(
     if pool_n > pool_cap:
         raise BudgetExceeded("rank-one candidate pool", pool_n, pool_cap)
     reps_h = _proj_reps(p, d3)
-    pool = [
-        tuple((gj * hk) % p for gj in g for hk in h)
+    pool_vecs = [
+        pack(tuple((gj * hk) % p for gj in g for hk in h))
         for g in _proj_reps(p, d2) for h in reps_h
     ]
-    pool_vecs = [pack(e) for e in pool]
 
     steps = 0
 
@@ -379,7 +378,7 @@ def min_spanning_rank_ones(
     for r in range(r0, r_max + 1):
         hit = attempt(r)
         if hit is not None:
-            witness = tuple(Matrix(field, d2, d3, pool[i]) for i in hit)
+            witness = tuple(Matrix(field, d2, d3, unpack(pool_vecs[i], d2 * d3)) for i in hit)
             return (r, witness)
     return None
 
@@ -445,15 +444,14 @@ def tensor_rank(
     None is itself a certificate: the underlying search is exhaustive, so
     rank(t) > r_max is proven, not suspected.
     """
-    found = min_spanning_rank_ones(
-        t.slices(), r_max, pool_cap=pool_cap, step_cap=step_cap
-    )
+    slices = t.slices()
+    found = min_spanning_rank_ones(slices, r_max, pool_cap=pool_cap, step_cap=step_cap)
     if found is None:
         return None
     r, witness = found
     if r == 0:
         return (0, Decomposition(t.field, t.dims, ()))
-    dec = reconstruct_decomposition(t.slices(), witness)
+    dec = reconstruct_decomposition(slices, witness)
     if eval_decomposition(dec) != t:
         raise DecompositionMismatch(
             "internal error: reconstructed decomposition does not reproduce the tensor"
