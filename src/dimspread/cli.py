@@ -157,6 +157,15 @@ def _counterexample_items(achieved: int, sub: Subspace) -> list[tuple[str, objec
 # ----------------------------------------------------------------------
 
 
+def _check_family_size(n: int, count: int) -> None:
+    """Refuse a family of `count` n x n maps before any of it is built."""
+    if n * n * count > _FAMILY_ENTRY_CAP:
+        raise ValueError(
+            f"a family of {count} maps of size {n} x {n} has {n * n * count} entries, "
+            f"more than build-maps builds ({_FAMILY_ENTRY_CAP})"
+        )
+
+
 def _cmd_build_maps(args: argparse.Namespace) -> int:
     field = FieldSpec(args.field)
     kind = args.kind
@@ -168,11 +177,7 @@ def _cmd_build_maps(args: argparse.Namespace) -> int:
             raise ValueError(f"--n must be at least 1, got {n}")
         # dyadic: the identity plus one shift per power of two below n
         count = {"shifts": 3, "dyadic": 1 + (n - 1).bit_length()}.get(kind, args.count)
-        if n * n * count > _FAMILY_ENTRY_CAP:
-            raise ValueError(
-                f"a family of {count} maps of size {n} x {n} has {n * n * count} entries, "
-                f"more than build-maps builds ({_FAMILY_ENTRY_CAP})"
-            )
+        _check_family_size(n, count)
     if kind in ("shifts", "dyadic"):
         make = shift_matchings if kind == "shifts" else dyadic_matchings
         fam = matching_maps(make(args.n), field)
@@ -190,7 +195,9 @@ def _cmd_build_maps(args: argparse.Namespace) -> int:
     elif kind == "matchings-file":
         if args.input is None:
             raise ValueError("--input is required for kind 'matchings-file'")
-        fam = matching_maps(parse_matchings(_read(args.input)), field)
+        matchings = parse_matchings(_read(args.input))
+        _check_family_size(matchings[0].n, len(matchings))
+        fam = matching_maps(matchings, field)
     elif kind == "from-file":
         if args.input is None:
             raise ValueError("--input is required for kind 'from-file'")

@@ -106,10 +106,17 @@ def test_build_maps_usage_errors(run):
     (("--kind", "dyadic", "--n", "2000"), "48000000 entries"),
     (("--kind", "random", "--n", "3", "--count", "100000000", "--seed", "1"),
      "900000000 entries"),
+    (("--kind", "matchings-file", "--input", "big.matchings"), "7500000000 entries"),
 ])
-def test_build_maps_rejects_oversized_families_before_building(run, argv, size):
+def test_build_maps_rejects_oversized_families_before_building(run, tmp_path, argv, size):
     # Building these would run out of memory or take minutes; the size is
-    # known from the arguments, so the command must refuse at once.
+    # known from the arguments or the matchings header, so the command must
+    # refuse at once.
+    src = tmp_path / "big.matchings"
+    src.write_text("matchings 1\nn 50000\nmatching 1:2\nmatching 2:1\nmatching 3:3\n",
+                   encoding="ascii")
+    argv = [str(src) if a == "big.matchings" else a for a in argv]
+
     def hung(signum, frame):
         raise TimeoutError("build-maps built an oversized family")
 
