@@ -293,6 +293,35 @@ def test_verify_spreading_sampled_refuted_frozen(run, tmp_path):
     )
 
 
+def test_verify_spreading_sampled_gf5_refuted_frozen(run, tmp_path):
+    # Only 6 of the 806 planes of GF(5)^4 have an image sum of 3 under the
+    # shifts, so the refutation and its rows pin the values the sampler drew.
+    path = str(tmp_path / "sh5.maps")
+    assert run("build-maps", "--kind", "shifts", "--field", "5", "--n", "4",
+               "--out", path)[0] == 0
+    code, out, err = run("verify-spreading", path, "--s", "2", "--t", "4",
+                         "--samples", "40", "--seed", "1")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: verify-spreading\n"
+        "field: 5\n"
+        "n: 4\n"
+        "maps: 3\n"
+        "s: 2\n"
+        "t: 4\n"
+        "mode: sampled\n"
+        "samples: 40\n"
+        "seed: 1\n"
+        "confidence: refutation-only\n"
+        "verdict: refuted\n"
+        "conclusive: yes\n"
+        "achieved: 3\n"
+        "counterexample_dim: 2\n"
+        "counterexample: 1 0 2 3\n"
+        "counterexample: 0 1 2 1\n"
+    )
+
+
 def test_verify_spreading_budget(run, tmp_path):
     src = family_file(tmp_path, MapFamily(GF2, 3, (I3,)))
     code, _, err = run("verify-spreading", src, "--s", "1", "--t", "1",
@@ -368,6 +397,32 @@ def test_measure_frozen(run, tmp_path):
         "witness: 1 0 0 0\n"
         "witness: 0 1 0 0\n"
         "conclusive: yes\n"
+    )
+
+
+def test_measure_sampled_gf3_frozen(run, tmp_path):
+    # The witness is the first draw of least expansion, so its row pins the
+    # values drawn up to it.
+    path = str(tmp_path / "sh3.maps")
+    assert run("build-maps", "--kind", "shifts", "--field", "3", "--n", "5",
+               "--out", path)[0] == 0
+    code, out, err = run("measure", path, "--samples", "30", "--seed", "1")
+    assert code == 0 and err == ""
+    assert out == (
+        "report: measure\n"
+        "field: 3\n"
+        "n: 5\n"
+        "maps: 3\n"
+        "mode: sampled\n"
+        "samples: 30\n"
+        "seed: 1\n"
+        "confidence: refutation-only\n"
+        "tau_star: 1\n"
+        "dim_1_min_image_sum: 2\n"
+        "dim_2_min_image_sum: 4\n"
+        "witness_dim: 1\n"
+        "witness: 1 0 2 0 1\n"
+        "conclusive: no\n"
     )
 
 

@@ -1,8 +1,10 @@
 """Source rules: README promises no floats, so none may enter `src/dimspread`;
-and the exact subspace layer stays off the packed vectors the scans use, so
-the invariants it checks do not share code with them."""
+the exact subspace layer stays off the packed vectors the scans use, so the
+invariants it checks do not share code with them; and the sampler's draw
+protocol rests on the public `random.Random` API alone."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,38 @@ def test_packed_uses_finds_each_kind():
 @pytest.mark.parametrize("name", ["subspace.py", "certify.py"])
 def test_exact_layer_uses_no_packed_vectors(name):
     assert packed_uses((SRC / name).read_text()) == []
+
+
+# Private members of `random.Random` (`_randbelow` and its two variants).  A
+# seed must give the same subspaces from one version to the next, so the
+# sampler may rest only on what `random` documents.
+RANDOM_PRIVATE = {a for a in dir(random.Random) if a.startswith("_") and not a.startswith("__")}
+
+
+def random_private_uses(source: str) -> list[str]:
+    """Private `random.Random` members that `source` reads as attributes or
+    through `getattr` with a literal name, as 'line: name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RANDOM_PRIVATE:
+            found.append(f"{node.lineno}: {node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in RANDOM_PRIVATE):
+            found.append(f"{node.lineno}: {node.args[1].value}")
+    return found
+
+
+def test_random_private_uses_finds_each_kind():
+    assert "_randbelow" in RANDOM_PRIVATE
+    source = ("x = rng._randbelow(5)\n"
+              "f = random.Random._randbelow_with_getrandbits\n"
+              "g = getattr(rng, '_randbelow_without_getrandbits')\n"
+              "y = rng.getrandbits(3) + rng.randrange(5) + self._rows + getattr(rng, 'random')()\n")
+    assert sorted(random_private_uses(source)) == ["1: _randbelow", "2: _randbelow_with_getrandbits",
+                                                   "3: _randbelow_without_getrandbits"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_random_members_in_source(path):
+    assert random_private_uses(path.read_text()) == []

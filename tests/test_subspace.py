@@ -258,15 +258,23 @@ def test_sampling_is_roughly_uniform():
 
 
 @pytest.mark.parametrize("p, shapes", [
-    (2, [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3), (3, 0)]),
-    (3, [(2, 2), (3, 1), (4, 4), (5, 2), (4, 0)]),
+    (2, [(1, 1), (3, 3), (4, 2), (5, 5), (6, 3), (3, 0), (10, 5), (10, 2)]),
+    (3, [(2, 2), (3, 1), (4, 4), (5, 2), (4, 0), (10, 5), (10, 2)]),
     (5, [(1, 1), (3, 3), (4, 2), (3, 0)]),
+    (7, [(1, 1), (3, 3), (4, 2), (3, 0)]),
+    (13, [(2, 2), (4, 1), (3, 0)]),
+    (257, [(2, 2), (3, 1), (2, 0)]),
+    (65521, [(2, 2), (3, 1), (2, 0)]),
 ])
 def test_sampler_matches_plain_int_replay(p, shapes):
     # The draw protocol is part of the contract: the same seed must give the
     # same subspaces and leave the RNG in the same state.  s = n shapes reject
     # most attempts over GF(2): about 0.3 of square draws are invertible.
-    # s = 0 shapes give the zero subspace and draw nothing.
+    # s = 0 shapes give the zero subspace and draw nothing.  The moduli give
+    # p.bit_length() from 2 to 16 and per-entry rejection rates from 0.0002
+    # (p = 65521, just below 2^16) to 0.5 (p = 2 and 257), so both the width
+    # of each draw and the number of redraws vary.  The (10, 5) and (10, 2)
+    # shapes are the ones the sampled benchmark draws.
     field = FieldSpec(p)
     for n, s in shapes:
         for seed in range(3):
