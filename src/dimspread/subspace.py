@@ -243,19 +243,32 @@ def enumerate_subspaces(
 def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Subspace:
     """Uniform s-dimensional subspace drawn from an existing RNG stream.
 
-    Rejection sampling: each attempt draws an s x n matrix, row by row, as
-    s * n calls of rng.randrange(p), all made before the rank test; the first
-    attempt of full row rank is canonicalized.  Uniformity follows because
-    every s-dimensional subspace has the same number of ordered bases.  The
-    rows are reduced in place, and only the accepted draw is built into a
-    `Matrix` and a `Subspace`.  At s = 0 the first attempt draws nothing and
-    is the zero subspace.
+    Rejection sampling: each attempt draws an s x n matrix, row by row, all
+    before the rank test; the first attempt of full row rank is
+    canonicalized.  Uniformity follows because every s-dimensional subspace
+    has the same number of ordered bases.  Each entry is the value
+    rng.randrange(p) gives on a `random.Random`, drawn as CPython draws it:
+    rng.getrandbits(p.bit_length()), redrawn while it is p or more.  This
+    skips three Python-level calls per entry and leaves the values and the
+    RNG state as they were.  The rows are reduced in place, and only the
+    accepted draw is built into a `Matrix` and a `Subspace`.  At s = 0 the
+    first attempt draws nothing and is the zero subspace.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
     p = field.modulus
+    k = p.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(s)]
+        rows = []
+        for _ in range(s):
+            row = []
+            for _ in range(n):
+                x = getrandbits(k)
+                while x >= p:
+                    x = getrandbits(k)
+                row.append(x)
+            rows.append(row)
         rows, rank, _ = _rref_dense(rows, n, p)
         if rank == s:
             return Subspace(field, n, Matrix(field, s, n, tuple(x for r in rows for x in r)))
