@@ -248,11 +248,12 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Sub
     canonicalized.  Uniformity follows because every s-dimensional subspace
     has the same number of ordered bases.  Each entry is the value
     rng.randrange(p) gives on a `random.Random`, drawn as CPython draws it:
-    rng.getrandbits(p.bit_length()), redrawn while it is p or more.  This
-    skips three Python-level calls per entry and leaves the values and the
-    RNG state as they were.  The rows are reduced in place, and only the
-    accepted draw is built into a `Matrix` and a `Subspace`.  At s = 0 the
-    first attempt draws nothing and is the zero subspace.
+    rng.getrandbits(p.bit_length()), redrawn while it is p or more.  The
+    values and the RNG state after each draw are those of randrange(p); the
+    loop is inline to save randrange's three Python-level calls per entry.
+    The rows are reduced in place, and only the accepted draw is built into
+    a `Matrix` and a `Subspace`.  At s = 0 the first attempt draws nothing
+    and is the zero subspace.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
