@@ -148,6 +148,27 @@ def test_refute_empty_head():
     assert check_trace(fam, SpreadingParams(2, 2), trace)
 
 
+def test_refute_empty_tail():
+    # r <= n - s: every term lands in the head and the tail image span is
+    # the zero subspace.  {N} has a one-term decomposition whose kernel
+    # span{e1} is killed by N, so it is not (1, 1)-spreading.
+    fam = MapFamily(GF2, 2, (N2,))
+    dec = Decomposition(GF2, (1, 2, 2), (RankOneTerm((1,), (1, 0), (0, 1)),))
+    trace = refute_spreading(fam, SpreadingParams(1, 1), dec)
+    assert trace.s_indices == (1,)
+    assert trace.kernel.basis.entries == (1, 0)
+    assert trace.image_span == Subspace.zero(GF2, 2)
+    assert trace.achieved == 0
+    assert check_trace(fam, SpreadingParams(1, 1), trace)
+    # No terms at all: the head and the tail are both empty.
+    zero = MapFamily(GF2, 2, (Matrix.zeros(GF2, 2, 2),))
+    trace = refute_spreading(zero, SpreadingParams(1, 1), Decomposition(GF2, (1, 2, 2), ()))
+    assert (trace.s_indices, trace.terms, trace.achieved) == ((), 0, 0)
+    assert trace.kernel == Subspace.full(GF2, 2)
+    assert trace.image_span == Subspace.zero(GF2, 2)
+    assert check_trace(zero, SpreadingParams(1, 1), trace)
+
+
 def test_refute_shift_family_end_to_end():
     # {I, C} on GF(2)^3 fixes the all-ones line, so it cannot be
     # (1, 3)-spreading.  The stacked tensor has rank 4, below the

@@ -84,6 +84,15 @@ def test_symmetrize_cycle():
     assert C3.transpose() == C3 @ C3
 
 
+def test_symmetrize_keeps_first_occurrence_order():
+    # A repeated map, a symmetric map and the identity already present:
+    # originals deduped in order, then only the new transposes, no second
+    # identity.
+    swap = Matrix.from_rows(GF2, [[0, 1], [1, 0]])
+    fam = MapFamily(GF2, 2, (N2, swap, N2, I2, swap))
+    assert symmetrize(fam).maps == (N2, swap, I2, NT2)
+
+
 def test_symmetrize_idempotent():
     rng = random.Random(31)
     for _ in range(10):
@@ -432,6 +441,26 @@ def test_measure_expansion_values():
     cyc = measure_expansion(MapFamily(GF2, 3, (I3, C3)))
     assert cyc.tau_star == 0
     assert cyc.witness.basis.entries == (1, 1, 1)
+
+
+def test_measure_expansion_tie_takes_the_lower_dimension():
+    # dyadic n=4 over GF(2): dims 1 and 2 both reach ratio 1 (tau 0)
+    rep = measure_expansion(matching_maps(dyadic_matchings(4), GF2))
+    assert rep.tau_star == 0
+    assert rep.per_dimension == ((1, 1), (2, 2))
+    assert rep.witness.basis.entries == (0, 0, 0, 1)
+    # four maps on GF(2)^4 where dims 1 and 2 both reach ratio 2 (tau 1)
+    rows = [
+        [[0, 1, 0, 1], [1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0]],
+        [[0, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 1, 0, 1]],
+        [[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+        [[1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 0]],
+    ]
+    fam = MapFamily(GF2, 4, tuple(Matrix.from_rows(GF2, r) for r in rows))
+    rep = measure_expansion(fam)
+    assert rep.tau_star == 1
+    assert rep.per_dimension == ((1, 2), (2, 4))
+    assert rep.witness.basis.entries == (0, 1, 0, 1)
 
 
 def test_measure_agrees_with_verify():

@@ -47,13 +47,17 @@ def test_span_of_canonicalizes():
 
 
 def test_canonical_basis_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pivot column is not clean"):
         Subspace(GF2, 2, Matrix.from_rows(GF2, [[1, 1], [0, 1]]))  # col 1 not clean
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pivot column is not clean"):
+        # the stray entry sits in a row below the pivot row, in a row that
+        # is itself checked only later
+        Subspace(GF2, 3, Matrix.from_rows(GF2, [[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
+    with pytest.raises(ValueError, match="pivots are not strictly increasing"):
         Subspace(GF2, 2, Matrix.from_rows(GF2, [[0, 1], [1, 0]]))  # pivots decrease
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis contains a zero row"):
         Subspace(GF2, 2, Matrix.from_rows(GF2, [[0, 0]]))  # zero row
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pivot is not normalized to 1"):
         Subspace(F3, 2, Matrix.from_rows(F3, [[2, 0]]))  # pivot not 1
 
 

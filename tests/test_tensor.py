@@ -328,6 +328,8 @@ def test_tensor_rank_known_values():
     assert tensor_rank(t, 2) is None
     z = Tensor3.zeros(GF2, 2, 2, 2)
     assert tensor_rank(z, 4) == (0, Decomposition(GF2, (2, 2, 2), ()))
+    z3 = Tensor3.zeros(F3, 2, 3, 2)
+    assert tensor_rank(z3, 0) == (0, Decomposition(F3, (2, 3, 2), ()))
 
 
 def test_tensor_rank_matches_direct_search():
