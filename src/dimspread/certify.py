@@ -147,20 +147,12 @@ def refute_spreading(
     s_indices = tuple(range(1, head + 1))
     tail = range(head, r)
 
-    if head:
-        stacked = Matrix.from_rows(
-            fam.field, [rank_ones[i].row(j) for i in range(head) for j in range(n)],
-            cols=n,
-        )
-        k_s = kernel(stacked)
-    else:
-        k_s = Subspace.full(fam.field, n)
-    if tail:
-        # row j of a term's transpose is its column j
-        image_rows = [rank_ones[i].entries[j::n] for i in tail for j in range(n)]
-        i_tail = span_of(Matrix.from_rows(fam.field, image_rows, cols=n))
-    else:
-        i_tail = Subspace.zero(fam.field, n)
+    # no head terms leave the whole space as kernel; no tail terms span zero
+    head_rows = [rank_ones[i].row(j) for i in range(head) for j in range(n)]
+    k_s = kernel(Matrix.from_rows(fam.field, head_rows, cols=n))
+    # row j of a term's transpose is its column j
+    image_rows = [rank_ones[i].entries[j::n] for i in tail for j in range(n)]
+    i_tail = span_of(Matrix.from_rows(fam.field, image_rows, cols=n))
 
     if len(tail) != max(0, r - (n - params.s)):
         raise TraceInvariantViolation("head/tail split does not add up")

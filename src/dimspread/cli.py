@@ -178,32 +178,29 @@ def _cmd_build_maps(args: argparse.Namespace) -> int:
         # dyadic: the identity plus one shift per power of two below n
         count = {"shifts": 3, "dyadic": 1 + (n - 1).bit_length()}.get(kind, args.count)
         _check_family_size(n, count)
-    if kind in ("shifts", "dyadic"):
-        make = shift_matchings if kind == "shifts" else dyadic_matchings
-        fam = matching_maps(make(args.n), field)
-    elif kind == "random":
-        if args.seed is None:
-            raise ValueError("--seed is required for kind 'random' (reproducibility)")
-        rng = random.Random(args.seed)
-        p = field.modulus
-        maps = tuple(
-            Matrix(field, args.n, args.n,
-                   tuple(rng.randrange(p) for _ in range(args.n * args.n)))
-            for _ in range(args.count)
-        )
-        fam = MapFamily(field, args.n, maps)
-    elif kind == "matchings-file":
+        if kind == "random":
+            if args.seed is None:
+                raise ValueError("--seed is required for kind 'random' (reproducibility)")
+            rng = random.Random(args.seed)
+            p = field.modulus
+            maps = tuple(
+                Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
+                for _ in range(count)
+            )
+            fam = MapFamily(field, n, maps)
+        else:
+            make = shift_matchings if kind == "shifts" else dyadic_matchings
+            fam = matching_maps(make(n), field)
+    else:
         if args.input is None:
-            raise ValueError("--input is required for kind 'matchings-file'")
-        matchings = parse_matchings(_read(args.input))
-        _check_family_size(matchings[0].n, len(matchings))
-        fam = matching_maps(matchings, field)
-    elif kind == "from-file":
-        if args.input is None:
-            raise ValueError("--input is required for kind 'from-file'")
-        fam = parse_map_family(_read(args.input))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind!r}")
+            raise ValueError(f"--input is required for kind {kind!r}")
+        text = _read(args.input)
+        if kind == "matchings-file":
+            matchings = parse_matchings(text)
+            _check_family_size(matchings[0].n, len(matchings))
+            fam = matching_maps(matchings, field)
+        else:
+            fam = parse_map_family(text)
     _emit(serialize_map_family(fam), args.out)
     return 0
 

@@ -176,20 +176,9 @@ def symmetrize(fam: MapFamily) -> MapFamily:
     Originals come first (first occurrence kept), then new transposes in the
     order of their originals, then the identity if it is still missing.
     """
-    out: list[Matrix] = []
-    seen: set[Matrix] = set()
-    for m in fam.maps:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    for m in fam.maps:
-        t = m.transpose()
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    ident = Matrix.identity(fam.field, fam.n)
-    if ident not in seen:
-        out.append(ident)
+    out = dict.fromkeys(
+        (*fam.maps, *(m.transpose() for m in fam.maps), Matrix.identity(fam.field, fam.n))
+    )
     return MapFamily(fam.field, fam.n, tuple(out))
 
 
@@ -440,12 +429,12 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
                 covered += len(lasts)
                 rows = tuple(cur[:last])
                 reached = a
+                if tables is None:
+                    tables = [_lex_table(combine, steps, combine(base, cols),
+                                         [cols[c] for c in tail]) for cols in maps_cols]
                 for x, row in enumerate(lasts):
                     a = reached
                     if a < target:
-                        if tables is None:
-                            tables = [_lex_table(combine, steps, combine(base, cols),
-                                                 [cols[c] for c in tail]) for cols in maps_cols]
                         if a == target - 1:
                             for table in tables:
                                 if not span.contains(table[x]):
@@ -651,14 +640,9 @@ def measure_expansion(
     """
     dims = _expander_dims(fam.n)
     minima = _minima(fam, dims, samples, seed, enumeration_cap, "expansion measurement")
-    tau_star = None
-    witness = None
-    for d in dims:
-        value, sub = minima[d]
-        ratio = Fraction(value, d) - 1
-        if tau_star is None or ratio < tau_star:
-            tau_star = ratio
-            witness = sub
+    low = min(dims, key=lambda d: Fraction(minima[d][0], d))
+    value, witness = minima[low]
+    tau_star = Fraction(value, low) - 1
     per_dim = tuple((d, minima[d][0]) for d in dims)
     return ExpansionReport(tau_star, witness, per_dim, samples is None)
 

@@ -404,8 +404,6 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, c in enumerate(red.pivots):
             v[c] = (-red.matrix.at(i, f)) % p
         vecs.append(v)
-    if not vecs:
-        return Matrix(m.field, 0, m.cols, ())
     rr = rref(Matrix.from_rows(m.field, vecs, cols=m.cols))
     return Matrix(m.field, rr.rank, m.cols, rr.matrix.entries[: rr.rank * m.cols])
 

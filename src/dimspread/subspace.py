@@ -109,9 +109,8 @@ def _check_canonical_basis(b: Matrix) -> None:
             raise ValueError("basis pivots are not strictly increasing")
         if row[lead] != 1:
             raise ValueError("basis pivot is not normalized to 1")
-        for k in range(b.rows):
-            if k != i and b.at(k, lead):
-                raise ValueError("basis pivot column is not clean")
+        if b.entries[lead::b.cols].count(0) != b.rows - 1:
+            raise ValueError("basis pivot column is not clean")
         last = lead
 
 

@@ -449,8 +449,6 @@ def tensor_rank(
     if found is None:
         return None
     r, witness = found
-    if r == 0:
-        return (0, Decomposition(t.field, t.dims, ()))
     dec = reconstruct_decomposition(slices, witness)
     if eval_decomposition(dec) != t:
         raise DecompositionMismatch(
