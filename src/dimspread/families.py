@@ -352,12 +352,13 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
     covers.  spans[r] is the span of the images of rows 0..r-1; after each
     step it is rebuilt from the row whose value changed, and no span grows
     past need[d].  An undecided subspace then adds only the images of its
-    last row, read from per-map tables built once per cell (once per prefix
-    at d = 1), and only when some subspace needs them.  When a span is
-    exactly one short of the need, the next row reaches it iff one of its
-    images lies outside that span, so the images are only tested with
-    `contains`, up to the first one outside, and no span is built.  The
-    caller may lower need[d] between items.  The counts, summed per prefix
+    last row, read from per-map tables built with the last row's values,
+    once per cell (once per prefix at d = 1), when a prefix first leaves
+    its last row to decide.  When a span is exactly one short of the need,
+    the next row reaches it iff one of its images lies outside that span,
+    so the images are only tested with `contains`, up to the first one
+    outside, and no span is built.  The caller may lower need[d] between
+    items.  The counts, summed per prefix
     or block, must come to `nominal`, the dimension's Gaussian binomial;
     RuntimeError otherwise.
     """
@@ -425,13 +426,11 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
                 if cur[last] != base:
                     base = cur[last]
                     lasts = _lex_table(combine, steps, base, tail_units)
-                    tables = None
+                    tables = [_lex_table(combine, steps, combine(base, cols),
+                                         [cols[c] for c in tail]) for cols in maps_cols]
                 covered += len(lasts)
                 rows = tuple(cur[:last])
                 reached = a
-                if tables is None:
-                    tables = [_lex_table(combine, steps, combine(base, cols),
-                                         [cols[c] for c in tail]) for cols in maps_cols]
                 for x, row in enumerate(lasts):
                     a = reached
                     if a < target:
