@@ -10,6 +10,7 @@ nothing there.
 
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -23,15 +24,15 @@ def ds(monkeypatch):
     """Fresh imports of the program's modules, as the benchmark makes them;
     the modules the other tests imported are put back afterwards."""
     monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no bench/__pycache__
     saved = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "dimspread"}
     for name in saved:
         del sys.modules[name]
     try:
-        ns = type("Program", (), {})()
-        for m in MODULES:
-            setattr(ns, m, importlib.import_module(f"dimspread.{m}"))
-        ns.errors = importlib.import_module("dimspread.errors")
-        yield ns
+        yield types.SimpleNamespace(
+            **{m: importlib.import_module(f"dimspread.{m}") for m in MODULES},
+            errors=importlib.import_module("dimspread.errors"),
+        )
     finally:
         for name in [k for k in sys.modules if k.split(".")[0] == "dimspread"]:
             del sys.modules[name]
