@@ -15,6 +15,10 @@ Each run option reaches the library by one path: the parser declares it,
 `RunConfig` validates it, and `RunConfig.scan` carries the scan options
 (sampling and the enumeration budget).  Scans run in one thread; --threads
 is validated and changes nothing.
+
+`main` alone touches stdout: it builds the `RunConfig`, parses the `maps`
+argument of the subcommands that take one, and writes the text the
+subcommand returns once it has finished, so a failed run prints no report.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ class RunConfig:
                 "enumeration_cap": self.enumeration_cap}
 
 
+# A subcommand's outcome: its exit code and the text `main` writes to stdout.
+Result = tuple[int, str]
+
+
 def _config(args: argparse.Namespace) -> RunConfig:
     """The run options this subcommand declares; the rest keep their defaults."""
     return RunConfig(**{f.name: getattr(args, f.name)
@@ -115,11 +123,12 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="ascii")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out: str | None) -> str:
+    """Write `text` to the file `out` and return "", or return `text` if no `out`."""
+    if not out:
+        return text
+    Path(out).write_text(text, encoding="ascii")
+    return ""
 
 
 def _family_header(name: str, fam: MapFamily) -> list[tuple[str, object]]:
@@ -166,7 +175,7 @@ def _check_family_size(n: int, count: int) -> None:
         )
 
 
-def _cmd_build_maps(args: argparse.Namespace) -> int:
+def _cmd_build_maps(args: argparse.Namespace, cfg: RunConfig, _fam: None) -> Result:
     field = FieldSpec(args.field)
     kind = args.kind
     if kind in ("shifts", "dyadic", "random"):
@@ -201,27 +210,20 @@ def _cmd_build_maps(args: argparse.Namespace) -> int:
             fam = matching_maps(matchings, field)
         else:
             fam = parse_map_family(text)
-    _emit(serialize_map_family(fam), args.out)
-    return 0
+    return 0, _emit(serialize_map_family(fam), args.out)
 
 
-def _cmd_symmetrize(args: argparse.Namespace) -> int:
-    fam = parse_map_family(_read(args.maps))
-    _emit(serialize_map_family(symmetrize(fam)), args.out)
-    return 0
+def _cmd_symmetrize(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
+    return 0, _emit(serialize_map_family(symmetrize(fam)), args.out)
 
 
-def _cmd_words(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    fam = parse_map_family(_read(args.maps))
-    _emit(serialize_map_family(words(fam, args.length, word_cap=cfg.word_cap)), args.out)
-    return 0
+def _cmd_words(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
+    word_fam = words(fam, args.length, word_cap=cfg.word_cap)
+    return 0, _emit(serialize_map_family(word_fam), args.out)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
     """verify-spreading and verify-expander: one threshold check, one report."""
-    cfg = _config(args)
-    fam = parse_map_family(_read(args.maps))
     items = _family_header(args.command, fam)
     if args.command == "verify-spreading":
         params = SpreadingParams(args.s, args.t)
@@ -235,13 +237,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     items.append(("conclusive", "yes" if res.conclusive else "no"))
     if not res.verified:
         items += _counterexample_items(res.achieved, res.counterexample)
-    sys.stdout.write(render_report(items))
-    return 0 if res.verified else 1
+    return (0 if res.verified else 1), render_report(items)
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    fam = parse_map_family(_read(args.maps))
+def _cmd_measure(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
     rep = measure_expansion(fam, **cfg.scan)
     items = _family_header("measure", fam)
     items += _mode_items(cfg)
@@ -250,18 +249,14 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         items.append((f"dim_{dim}_min_image_sum", low))
     items += _subspace_items("witness", rep.witness)
     items.append(("conclusive", "yes" if rep.exhaustive else "no"))
-    sys.stdout.write(render_report(items))
-    return 0
+    return 0, render_report(items)
 
 
-def _cmd_build_tensor(args: argparse.Namespace) -> int:
-    fam = parse_map_family(_read(args.maps))
-    _emit(serialize_tensor(family_tensor(fam)), args.out)
-    return 0
+def _cmd_build_tensor(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
+    return 0, _emit(serialize_tensor(family_tensor(fam)), args.out)
 
 
-def _cmd_tensor_rank(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def _cmd_tensor_rank(args: argparse.Namespace, cfg: RunConfig, _fam: None) -> Result:
     t = parse_tensor(_read(args.tensor))
     items: list[tuple[str, object]] = [
         ("report", "tensor-rank"),
@@ -271,23 +266,16 @@ def _cmd_tensor_rank(args: argparse.Namespace) -> int:
     ]
     found = tensor_rank(t, args.r_max, pool_cap=cfg.pool_cap, step_cap=cfg.step_cap)
     if found is None:
-        items.append(("verdict", "above_max"))
-        items.append(("certified_above", args.r_max))
-        sys.stdout.write(render_report(items))
-        return 1
+        items += [("verdict", "above_max"), ("certified_above", args.r_max)]
+        return 1, render_report(items)
     rank, dec = found
-    items.append(("verdict", "determined"))
-    items.append(("rank", rank))
-    items.append(("terms", len(dec.terms)))
-    sys.stdout.write(render_report(items))
+    items += [("verdict", "determined"), ("rank", rank), ("terms", len(dec.terms))]
     if args.dec_out:
         _emit(serialize_decomposition(dec), args.dec_out)
-    return 0
+    return 0, render_report(items)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    fam = parse_map_family(_read(args.maps))
+def _cmd_certify(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
     params = SpreadingParams(args.s, args.t)
     items = _family_header("certify", fam)
     items += [("s", params.s), ("t", params.t)]
@@ -297,17 +285,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     except NotSpreading as e:
         items.append(("verdict", "not-spreading"))
         items += _counterexample_items(e.achieved, e.counterexample)
-        sys.stdout.write(render_report(items))
-        return 1
+        return 1, render_report(items)
     items.append(("verdict", "certified"))
     items.append(("bound", cert.bound))
     items.append(("conclusive", "yes" if cert.conclusive else "no"))
-    sys.stdout.write(render_report(items))
-    return 0
+    return 0, render_report(items)
 
 
-def _cmd_refute(args: argparse.Namespace) -> int:
-    fam = parse_map_family(_read(args.maps))
+def _cmd_refute(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
     dec = parse_decomposition(_read(args.dec))
     params = SpreadingParams(args.s, args.t)
     trace = refute_spreading(fam, params, dec)
@@ -321,8 +306,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
     items += _subspace_items("image_span", trace.image_span)
     items += _subspace_items("violating", trace.violating)
     items.append(("achieved", trace.achieved))
-    sys.stdout.write(render_report(items))
-    return 1
+    return 1, render_report(items)
 
 
 def _rank_check_feasible(p: int, n: int, r_max: int, pool_cap: int) -> bool:
@@ -332,12 +316,10 @@ def _rank_check_feasible(p: int, n: int, r_max: int, pool_cap: int) -> bool:
     return math.comb(classes, min(r_max, classes)) <= 2 * 10**6
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig, fam: MapFamily) -> Result:
     eps = args.epsilon
     if not 0 < eps < 1:
         raise ValueError("--epsilon must satisfy 0 < epsilon < 1")
-    fam = parse_map_family(_read(args.maps))
     sym = symmetrize(fam)
     items: list[tuple[str, object]] = [
         ("report", "pipeline"),
@@ -355,8 +337,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         items.append(("stage", "expansion"))
         items.append(("verdict", "refuted"))
         items += _subspace_items("witness", rep.witness)
-        sys.stdout.write(render_report(items))
-        return 1
+        return 1, render_report(items)
 
     t = word_length_for(eps, rep.tau_star)
     items.append(("word_length", t))
@@ -370,8 +351,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     except NotSpreading as e:
         items += [("spreading", "refuted"), ("stage", "spreading"), ("verdict", "refuted")]
         items += _counterexample_items(e.achieved, e.counterexample)
-        sys.stdout.write(render_report(items))
-        return 1
+        return 1, render_report(items)
     items.append(("spreading", "holds"))
     items.append(("certified_bound", cert.bound))
 
@@ -394,13 +374,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 items.append(("rank_check",
                               f"VIOLATION rank {found[0]} < bound {cert.bound}"))
                 items.append(("verdict", "discrepancy"))
-                sys.stdout.write(render_report(items))
-                return 1
+                return 1, render_report(items)
     items.append(("rank_check", rank_check))
     items.append(("verdict", "certified"))
     items.append(("conclusive", "yes" if cert.conclusive else "no"))
-    sys.stdout.write(render_report(items))
-    return 0
+    return 0, render_report(items)
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +497,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        fam = parse_map_family(_read(args.maps)) if "maps" in args else None
+        code, text = args.func(args, cfg, fam)
+        sys.stdout.write(text)
+        return code
     except BudgetExceeded as e:
         print(f"budget exceeded in {e.stage}: needs {e.needed}, cap {e.cap}",
               file=sys.stderr)
