@@ -175,8 +175,14 @@ def _check_family_size(n: int, count: int) -> None:
         )
 
 
+def _check_file_value(flag: str, given: int | None, found: int) -> None:
+    """Refuse a --field or --n that differs from the value the input file sets."""
+    if given is not None and given != found:
+        raise ValueError(f"--{flag} {given} differs from the input file's {flag} {found}")
+
+
 def _cmd_build_maps(args: argparse.Namespace, cfg: RunConfig, _fam: None) -> Result:
-    field = FieldSpec(args.field)
+    field = FieldSpec(2 if args.field is None else args.field)
     kind = args.kind
     if kind in ("shifts", "dyadic", "random"):
         n = args.n
@@ -206,10 +212,13 @@ def _cmd_build_maps(args: argparse.Namespace, cfg: RunConfig, _fam: None) -> Res
         text = _read(args.input)
         if kind == "matchings-file":
             matchings = parse_matchings(text)
+            _check_file_value("n", args.n, matchings[0].n)
             _check_family_size(matchings[0].n, len(matchings))
             fam = matching_maps(matchings, field)
         else:
             fam = parse_map_family(text)
+            _check_file_value("field", args.field, fam.field.modulus)
+            _check_file_value("n", args.n, fam.n)
     return 0, _emit(serialize_map_family(fam), args.out)
 
 
@@ -408,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build-maps", help="construct a .maps file")
     sp.add_argument("--kind", required=True,
                     choices=["shifts", "dyadic", "random", "matchings-file", "from-file"])
-    sp.add_argument("--n", type=int, default=None, help="ambient dimension")
-    sp.add_argument("--field", type=int, default=2, help="prime field modulus")
+    sp.add_argument("--n", type=int, default=None,
+                    help="ambient dimension (for *-file kinds, must match the file)")
+    sp.add_argument("--field", type=int, default=None,
+                    help="prime field modulus (default 2; for from-file, must match the file)")
     sp.add_argument("--count", type=int, default=3, help="number of random maps")
     sp.add_argument("--seed", type=int, default=None, help="seed for kind=random")
     sp.add_argument("--input", default=None, help="input file for *-file kinds")

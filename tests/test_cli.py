@@ -154,6 +154,36 @@ def test_build_maps_from_file_and_out(run, tmp_path):
     assert parse_map_family(dst.read_text(encoding="ascii")) == SYM2
 
 
+def test_build_maps_file_kinds_check_field_and_n(run, tmp_path):
+    # A file kind takes n (and, for from-file, the field) from its input; a
+    # --field or --n that differs is refused with both values, a matching one
+    # is accepted.
+    src = family_file(tmp_path, SYM2)
+    plain = run("build-maps", "--kind", "from-file", "--input", src)
+    assert plain[0] == 0
+    assert run("build-maps", "--kind", "from-file", "--input", src,
+               "--field", "2", "--n", "2") == plain
+    code, out, err = run("build-maps", "--kind", "from-file", "--input", src, "--field", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --field 5 differs from the input file's field 2\n"
+    code, out, err = run("build-maps", "--kind", "from-file", "--input", src, "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --n 3 differs from the input file's n 2\n"
+
+    matchings = tmp_path / "m.matchings"
+    matchings.write_text("matchings 1\nn 2\nmatching 1:1 2:2\nmatching 1:2\n",
+                         encoding="ascii")
+    argv = ("build-maps", "--kind", "matchings-file", "--input", str(matchings))
+    code, out, _ = run(*argv, "--n", "2", "--field", "3")
+    assert code == 0
+    assert parse_map_family(out) == MapFamily(
+        FieldSpec(3), 2, (Matrix.identity(FieldSpec(3), 2), Matrix.from_rows(
+            FieldSpec(3), [[0, 0], [1, 0]])))
+    code, out, err = run(*argv, "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: --n 4 differs from the input file's n 2\n"
+
+
 def test_missing_input_file(run, tmp_path):
     code, _, err = run("symmetrize", str(tmp_path / "absent.maps"))
     assert code == 2 and "error:" in err
@@ -484,6 +514,17 @@ def test_tensor_rank_witness_frozen(run, tmp_path):
     )
 
 
+def test_failed_dec_out_prints_no_report(run, tmp_path):
+    # stdout is written once the subcommand has finished, so a run that
+    # fails while writing its decomposition prints no report
+    src = tmp_path / "i.t3"
+    src.write_text(serialize_tensor(slice_tensor([I2])), encoding="ascii")
+    code, out, err = run("tensor-rank", str(src), "--r-max", "4",
+                         "--dec-out", str(tmp_path / "absent" / "i.dec"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "i.dec" in err
+
+
 def test_tensor_rank_pool_budget(run, tmp_path):
     src = tmp_path / "big.t3"
     src.write_text(
@@ -713,6 +754,19 @@ def test_pipeline_epsilon_validation(run, tmp_path):
     assert code == 2 and "epsilon" in err
     code, _, err = run("pipeline", src, "--epsilon", "0")
     assert code == 2 and "epsilon" in err
+
+
+def test_pipeline_reports_a_bad_maps_file_before_a_bad_epsilon(run, tmp_path):
+    # the maps argument is parsed before the subcommand runs, so with both
+    # inputs bad the error names the maps file
+    bad = tmp_path / "bad.maps"
+    bad.write_text("hello\n", encoding="ascii")
+    code, out, err = run("pipeline", str(bad), "--epsilon", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: expected 'mapfamily' header, got 'hello'\n"
+    code, out, err = run("pipeline", str(tmp_path / "absent.maps"), "--epsilon", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "absent.maps" in err and "epsilon" not in err
 
 
 def test_thread_count_is_invisible(run, tmp_path):

@@ -1,7 +1,8 @@
 """Source rules: README promises no floats, so none may enter `src/dimspread`;
 the exact subspace layer stays off the packed vectors the scans use, so the
-invariants it checks do not share code with them; and the sampler's draw
-protocol rests on the public `random.Random` API alone."""
+invariants it checks do not share code with them; the sampler's draw
+protocol rests on the public `random.Random` API alone; and the CLI writes
+stdout from `main` alone."""
 
 import ast
 import random
@@ -110,3 +111,39 @@ def test_random_private_uses_finds_each_kind():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_random_members_in_source(path):
     assert random_private_uses(path.read_text()) == []
+
+
+def stdout_uses(source: str) -> list[str]:
+    """`sys.stdout` and `print` calls without `file=` in `source` outside its
+    top-level function `main`, as 'line: what'."""
+    tree = ast.parse(source)
+    in_main = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name == "main" for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_main:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(f"{node.lineno}: sys.stdout")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "print" and all(k.arg != "file" for k in node.keywords)):
+            found.append(f"{node.lineno}: print")
+    return found
+
+
+def test_stdout_uses_finds_each_kind():
+    source = ("import sys\n"
+              "def _emit(text):\n    sys.stdout.write(text)\n"
+              "def main():\n    sys.stdout.write('x')\n    print('y')\n"
+              "    def inner():\n        print('z')\n"
+              "def _cmd(out=sys.stdout):\n    print('a', file=sys.stderr)\n    print('b')\n"
+              "w = sys.stdout\n")
+    assert sorted(stdout_uses(source)) == ["11: print", "12: sys.stdout", "3: sys.stdout",
+                                           "9: sys.stdout"]
+
+
+def test_cli_writes_stdout_only_in_main():
+    # one place writes stdout, after the subcommand has finished, so a run
+    # that fails part way prints no partial report
+    assert stdout_uses((SRC / "cli.py").read_text()) == []
