@@ -658,9 +658,10 @@ def verify_large_expansion(
     where a = dim(U)/n.
 
     Requires the family to contain the identity and the transpose of each of
-    its maps (ClosureViolation otherwise), and to actually be a tau-expander;
-    the expander precondition is verified when its enumeration fits the cap
-    and skipped otherwise.  Each scanned subspace's achieved growth delta is
+    its maps (ClosureViolation otherwise), and to actually be a tau-expander
+    (ValueError otherwise).  The expander precondition is scanned under the
+    same enumeration cap, so BudgetExceeded propagates when it does not fit;
+    `check_expander=False` skips it.  Each scanned subspace's achieved growth delta is
     recorded next to the sharper bound tau(1-a)/((1+tau)a) for inspection;
     subspaces with the same (dim, image-sum dim) share one record object.
     """
@@ -674,11 +675,8 @@ def verify_large_expansion(
         if m.transpose() not in present:
             raise ClosureViolation("family is not closed under transpose")
     if check_expander:
-        try:
-            pre = verify_expander(fam, tau, enumeration_cap=enumeration_cap)
-        except BudgetExceeded:
-            pre = None
-        if pre is not None and not pre.verified:
+        pre = verify_expander(fam, tau, enumeration_cap=enumeration_cap)
+        if not pre.verified:
             raise ValueError(
                 f"family is not a {tau}-expander "
                 f"(dim {pre.counterexample.dim} subspace reaches only {pre.achieved})"

@@ -515,6 +515,19 @@ def test_large_expansion_counterexample():
     assert all(not rec.meets_sharper for rec in res.records)
 
 
+def test_large_expansion_precondition_budget_is_not_skipped():
+    # At cap 20 the dim-3 scan of GF(2)^4 fits (15 subspaces) but the
+    # expander precondition over dims 1 and 2 does not (15 + 35), so the
+    # checked call must refuse rather than verify without it.
+    shifts = matching_maps(shift_matchings(4), GF2)
+    with pytest.raises(BudgetExceeded) as exc:
+        verify_large_expansion(shifts, Fraction(1, 2), enumeration_cap=20)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("expander verification", 50, 20)
+    res = verify_large_expansion(shifts, Fraction(1, 2), enumeration_cap=20,
+                                 check_expander=False)
+    assert res.verified and len(res.records) == 15
+
+
 def test_thread_count_does_not_change_results():
     shifts = matching_maps(shift_matchings(4), GF2)
     assert verify_large_expansion(shifts, Fraction(1, 2), threads=1) == (
