@@ -661,9 +661,10 @@ def verify_large_expansion(
     its maps (ClosureViolation otherwise), and to actually be a tau-expander
     (ValueError otherwise).  The expander precondition is scanned under the
     same enumeration cap, so BudgetExceeded propagates when it does not fit;
-    `check_expander=False` skips it.  Each scanned subspace's achieved growth delta is
-    recorded next to the sharper bound tau(1-a)/((1+tau)a) for inspection;
-    subspaces with the same (dim, image-sum dim) share one record object.
+    `check_expander=False` skips it.  Each scanned subspace's achieved growth
+    delta is recorded next to the sharper bound tau(1-a)/((1+tau)a) for
+    inspection; subspaces with the same (dim, image-sum dim) share one record
+    object.
     """
     tau = Fraction(tau)
     if tau <= 0:
