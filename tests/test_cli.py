@@ -352,6 +352,37 @@ def test_verify_spreading_sampled_gf5_refuted_frozen(run, tmp_path):
     )
 
 
+def test_verify_spreading_sampled_gf13_refuted_frozen(run, tmp_path):
+    # Few 3-spaces of GF(13)^5 have an image sum of 4 under these two random
+    # maps; the first one drawn is draw 76, so its three rows pin the values
+    # of every attempt up to it.
+    path = str(tmp_path / "r13.maps")
+    assert run("build-maps", "--kind", "random", "--field", "13", "--n", "5",
+               "--count", "2", "--seed", "1", "--out", path)[0] == 0
+    code, out, err = run("verify-spreading", path, "--s", "3", "--t", "5",
+                         "--samples", "100", "--seed", "1")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: verify-spreading\n"
+        "field: 13\n"
+        "n: 5\n"
+        "maps: 2\n"
+        "s: 3\n"
+        "t: 5\n"
+        "mode: sampled\n"
+        "samples: 100\n"
+        "seed: 1\n"
+        "confidence: refutation-only\n"
+        "verdict: refuted\n"
+        "conclusive: yes\n"
+        "achieved: 4\n"
+        "counterexample_dim: 3\n"
+        "counterexample: 1 0 0 12 3\n"
+        "counterexample: 0 1 0 8 1\n"
+        "counterexample: 0 0 1 6 0\n"
+    )
+
+
 def test_verify_spreading_budget(run, tmp_path):
     src = family_file(tmp_path, MapFamily(GF2, 3, (I3,)))
     code, _, err = run("verify-spreading", src, "--s", "1", "--t", "1",
@@ -452,6 +483,40 @@ def test_measure_sampled_gf3_frozen(run, tmp_path):
         "dim_2_min_image_sum: 4\n"
         "witness_dim: 1\n"
         "witness: 1 0 2 0 1\n"
+        "conclusive: no\n"
+    )
+
+
+def test_measure_sampled_gf2_n10_frozen(run, tmp_path):
+    # The sampled benchmark's GF(2) n=10 shape: 40 draws in each of the
+    # dimensions 1 to 5.  The witness is a 5-space, the first draw of least
+    # expansion, so its five rows pin the values drawn up to it.
+    path = str(tmp_path / "r2.maps")
+    assert run("build-maps", "--kind", "random", "--field", "2", "--n", "10",
+               "--seed", "1", "--out", path)[0] == 0
+    code, out, err = run("measure", path, "--samples", "40", "--seed", "1")
+    assert code == 0 and err == ""
+    assert out == (
+        "report: measure\n"
+        "field: 2\n"
+        "n: 10\n"
+        "maps: 3\n"
+        "mode: sampled\n"
+        "samples: 40\n"
+        "seed: 1\n"
+        "confidence: refutation-only\n"
+        "tau_star: 4/5\n"
+        "dim_1_min_image_sum: 2\n"
+        "dim_2_min_image_sum: 5\n"
+        "dim_3_min_image_sum: 7\n"
+        "dim_4_min_image_sum: 9\n"
+        "dim_5_min_image_sum: 9\n"
+        "witness_dim: 5\n"
+        "witness: 1 1 0 0 0 0 1 0 1 1\n"
+        "witness: 0 0 1 0 0 0 1 0 0 1\n"
+        "witness: 0 0 0 1 0 0 1 1 0 0\n"
+        "witness: 0 0 0 0 1 0 0 1 0 1\n"
+        "witness: 0 0 0 0 0 1 0 1 0 1\n"
         "conclusive: no\n"
     )
 
