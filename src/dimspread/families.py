@@ -29,8 +29,11 @@ Gaussian binomial.  A `Subspace` is built only for the counterexample or
 witness reported, which is the same canonical first one a
 subspace-by-subspace walk finds.
 
-Sampled scans add each draw's images, map by map, under the same rule, so
-a draw that reaches the need costs no more adds than it takes to get there.
+Sampled scans take each draw as the canonical rows `sample_with_rng`
+returns, pack them and add their images, map by map, under the same rule,
+so a draw that reaches the need costs no more adds than it takes to get
+there.  As in the exhaustive scan, only the draw reported becomes a
+`Subspace`.
 
 Every scan runs in one thread.
 """
@@ -487,8 +490,10 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     is the canonical first.  Sampled mode checks samples * len(need) draws
     against the same budget, then draws `samples` subspaces per dimension
     from one RNG seeded with `seed` (through the module name
-    `sample_with_rng`, once per draw), adds their images until the span
-    reaches need[d], and yields each draw with count 1.
+    `sample_with_rng`, once per draw), packs the canonical rows each draw
+    returns, adds their images until the span reaches need[d], and yields
+    each draw with count 1.  No draw is validated or built into a
+    `Subspace` here; the caller builds one only for the draw it reports.
     """
     p = fam.field.modulus
     if samples is None:
@@ -512,8 +517,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     rng = random.Random(seed)
     for d in need:
         for _ in range(samples):
-            sub = sample_with_rng(fam.n, d, fam.field, rng)
-            rows = tuple(pack(sub.basis.row(i)) for i in range(d))
+            rows = tuple(map(pack, sample_with_rng(fam.n, d, fam.field, rng)))
             target = need[d]
             span = make_row_span(p)
             for cols in maps_cols:

@@ -239,8 +239,9 @@ def enumerate_subspaces(
 # ----------------------------------------------------------------------
 
 
-def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Subspace:
-    """Uniform s-dimensional subspace drawn from an existing RNG stream.
+def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> list[list[int]]:
+    """The RREF rows of a uniform s-dimensional subspace, drawn from an
+    existing RNG stream.
 
     Rejection sampling: each attempt draws an s x n matrix, row by row, all
     before the rank test; the first attempt of full row rank is
@@ -250,9 +251,10 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Sub
     rng.getrandbits(p.bit_length()), redrawn while it is p or more.  The
     values and the RNG state after each draw are those of randrange(p); the
     loop is inline to save randrange's three Python-level calls per entry.
-    The rows are reduced in place, and only the accepted draw is built into
-    a `Matrix` and a `Subspace`.  At s = 0 the first attempt draws nothing
-    and is the zero subspace.
+    The rows are reduced in place and the accepted draw's s rows come back
+    as `_rref_dense` leaves them, lists of residues: the canonical basis,
+    neither validated nor built into a `Subspace` (`sample_subspace` builds
+    one).  At s = 0 the first attempt draws nothing and gives no rows.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
@@ -271,9 +273,11 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> Sub
             rows.append(row)
         rows, rank, _ = _rref_dense(rows, n, p)
         if rank == s:
-            return Subspace(field, n, Matrix(field, s, n, tuple(x for r in rows for x in r)))
+            return rows
 
 
 def sample_subspace(n: int, s: int, field: FieldSpec, seed: int) -> Subspace:
-    """Uniform s-dimensional subspace of GF(p)^n, deterministic in the seed."""
-    return sample_with_rng(n, s, field, random.Random(seed))
+    """Uniform s-dimensional subspace of GF(p)^n, deterministic in the seed:
+    the validated `Subspace` of the rows `sample_with_rng` draws."""
+    rows = sample_with_rng(n, s, field, random.Random(seed))
+    return Subspace(field, n, Matrix(field, s, n, tuple(x for r in rows for x in r)))

@@ -74,3 +74,22 @@ def test_traced_rank_steps_sit_on_the_step_cap_boundary(ds):
     assert ds.tensor.tensor_rank(tensor, 6, step_cap=steps) is not None
     with pytest.raises(ds.errors.BudgetExceeded):
         ds.tensor.tensor_rank(tensor, 6, step_cap=steps - 1)
+
+
+def test_traced_sampled_scans_count_every_draw(ds):
+    # The tracer counts draws by wrapping `families.sample_with_rng`, so the
+    # sampled loop has to call it through that module name, once per draw.
+    fam = ds.families.symmetrize(
+        ds.families.matching_maps(ds.families.shift_matchings(6), ds.gfp.FieldSpec(3)))
+    samples = 30
+    tracer = _tracer(ds).install()
+    try:
+        held = ds.families.verify_spreading(
+            fam, ds.families.SpreadingParams(2, 2), samples=samples, seed=3)
+        drawn = tracer.counts["families.sampled.samples"]
+        ds.families.measure_expansion(fam, samples=samples, seed=3)
+    finally:
+        tracer.uninstall()
+    assert held.verified  # the family holds the identity, so no draw stops the scan
+    assert drawn == samples * 1
+    assert tracer.counts["families.sampled.samples"] == samples * (1 + fam.n // 2)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import dimspread.families as families_module
+import dimspread.subspace as subspace_module
 from dimspread.errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
 from dimspread.families import (
     MapFamily,
@@ -377,6 +378,32 @@ def test_sampled_refutation_reports_exact_achieved():
     assert not res.verified
     assert res.counterexample.basis.entries == tuple(x for r in first for x in r)
     assert res.achieved == image_sum_dim([proj.entries], first, n, p) < 5
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_sampled_scans_build_a_subspace_only_for_the_report(monkeypatch, p):
+    # Every Subspace checks its basis once, in `_check_canonical_basis`.  A
+    # sampled verification that holds reports no subspace and builds none; a
+    # sampled measure builds one per dimension, the minimum it reports there,
+    # however many draws it makes.
+    n, samples = 6, 40
+    fam = MapFamily(FieldSpec(p), n, (Matrix.identity(FieldSpec(p), n),)
+                    + rand_family(FieldSpec(p), n, 2, random.Random(p)).maps)
+    checks: list[Matrix] = []
+    real = subspace_module._check_canonical_basis
+
+    def check(b):
+        checks.append(b)
+        real(b)
+
+    monkeypatch.setattr(subspace_module, "_check_canonical_basis", check)
+    res = verify_spreading(fam, SpreadingParams(3, 3), samples=samples, seed=5)
+    assert res.verified and not res.exhaustive  # the identity gives every draw t = s
+    assert checks == []
+    report = measure_expansion(fam, samples=samples, seed=5)
+    assert not report.exhaustive
+    assert len(checks) == n // 2
+    assert report.witness.basis in checks
 
 
 def test_spreading_budget():

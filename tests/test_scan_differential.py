@@ -1,8 +1,9 @@
 """The scans in `families` against a slow, independent route.
 
 The reference enumerates with `enumerate_subspaces` (or replays the seeded
-draws with `sample_with_rng`) and computes every image sum as a sum of
-`apply_map` images with `Subspace.__add__`, the route `check_trace` uses.
+draws on plain ints with `oracles.replay_draws`) and computes every image
+sum as a sum of `apply_map` images with `Subspace.__add__`, the route
+`check_trace` uses.
 First counterexamples, witnesses, minima and records must agree in value and
 in canonical order, over GF(2), GF(3) and GF(5).
 """
@@ -34,9 +35,9 @@ from dimspread.subspace import (
     Subspace,
     apply_map,
     enumerate_subspaces,
-    sample_with_rng,
     span_of,
 )
+from oracles import replay_draws
 
 # GF(7) and GF(13) fill an 8-bit vector lane in 7 terms and in one, GF(17)
 # has 16-bit lanes; appended so that the seeded families before them stay put.
@@ -90,8 +91,9 @@ def slow_scan(fam, dims):
 def slow_draws(fam, dims, samples, seed):
     rng = random.Random(seed)
     for d in dims:
-        for _ in range(samples):
-            sub = sample_with_rng(fam.n, d, fam.field, rng)
+        for rows in replay_draws(fam.n, d, fam.field.modulus, rng, samples):
+            entries = tuple(x for r in rows for x in r)
+            sub = Subspace(fam.field, fam.n, Matrix(fam.field, d, fam.n, entries))
             yield d, sub, slow_image_sum(fam, sub)
 
 

@@ -28,6 +28,12 @@ def line(field, *vec):
     return span_of(Matrix.from_rows(field, [vec]))
 
 
+def basis_subspace(field, n, rows):
+    """The validated subspace whose canonical basis is `rows`, as
+    `sample_subspace` builds it from a draw."""
+    return Subspace(field, n, Matrix(field, len(rows), n, tuple(x for r in rows for x in r)))
+
+
 def test_span_of_duplicates():
     u = span_of(Matrix.from_rows(GF2, [[1, 0], [1, 0]]))
     assert u.dim == 1
@@ -175,7 +181,7 @@ def test_annihilator_involution():
         for _ in range(25):
             n = rng.randrange(1, 5)
             s = rng.randrange(0, n + 1)
-            u = sample_with_rng(n, s, field, rng)
+            u = basis_subspace(field, n, sample_with_rng(n, s, field, rng))
             ann = annihilator(u)
             assert ann.dim == n - u.dim
             assert annihilator(ann) == u
@@ -255,7 +261,7 @@ def test_sampling_is_roughly_uniform():
     rng = random.Random(1234)
     draws = 7000
     for _ in range(draws):
-        counts[sample_with_rng(3, 1, GF2, rng)] += 1
+        counts[basis_subspace(GF2, 3, sample_with_rng(3, 1, GF2, rng))] += 1
     expected = draws / len(lines)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 22.458  # critical value at alpha = 0.001
@@ -278,13 +284,18 @@ def test_sampler_matches_plain_int_replay(p, shapes):
     # p.bit_length() from 2 to 16 and per-entry rejection rates from 0.0002
     # (p = 65521, just below 2^16) to 0.5 (p = 2 and 257), so both the width
     # of each draw and the number of redraws vary.  The (10, 5) and (10, 2)
-    # shapes are the ones the sampled benchmark draws.
+    # shapes are the ones the sampled benchmark draws.  The sampler returns
+    # rows without validating them, so every basis it returns is built into
+    # a validated subspace here.
     field = FieldSpec(p)
     for n, s in shapes:
         for seed in range(3):
             rng, ref = random.Random(seed), random.Random(seed)
             want = replay_draws(n, s, p, ref, 15)
             for rows in want:
-                sub = sample_with_rng(n, s, field, rng)
+                got = sample_with_rng(n, s, field, rng)
+                assert tuple(map(tuple, got)) == rows
+                sub = basis_subspace(field, n, got)
+                assert sub.dim == s
                 assert sub.basis.entries == tuple(x for r in rows for x in r)
             assert rng.getstate() == ref.getstate()
