@@ -17,9 +17,12 @@ per prefix of free values and shared by every subspace that extends it.
 Once it reaches what the caller needs, the whole subtree below the prefix is
 decided and comes out as one block: its first subspace, the span's dim and
 its member count.  An undecided subspace adds only the images of its last
-row, read from per-map lookup tables built once per cell.  Only a one-row
-cell caps its tables at `_TABLE_CAP` entries: a longer row moves its leading
-free entries into the prefix, and its tables are built once per prefix.
+row, read from per-map last-row tables, each built once per cell when a
+subspace first reads it.  Only a one-row cell caps its tables at
+`_TABLE_CAP` entries: a longer row moves its leading free entries into the
+prefix, and its tables are built once per prefix.  Every image under a map
+comes from that map's image function (`_map_images`), whose lookup tables
+are built the first time a scan needs the map.
 Adding stops as soon as the span reaches the need: the threshold when
 verifying, the least value found so far when measuring, n for the
 large-subspace records.  A span one short of the need only tests the next
@@ -202,17 +205,18 @@ def words(fam: MapFamily, t: int, *, word_cap: int = DEFAULT_WORD_CAP) -> MapFam
     if t * d > word_cap:
         raise BudgetExceeded("word expansion", t * d, word_cap)
     vec = vectors(fam.field.modulus)
-    pack, combine = vec.pack, vec.combine
     n = fam.n
-    mats = [tuple(pack(m.row(i)) for i in range(n)) for m in fam.maps]
+    mats = [tuple(vec.pack(m.row(i)) for i in range(n)) for m in fam.maps]
     level = list(dict.fromkeys(mats))
+    # row i of the product a @ b is the image of a's row i under b's rows
+    products = [vec.images(b) for b in mats] if t > 1 else []
     formed = d
     for _ in range(t - 1):
         formed += len(level) * d
         if formed > word_cap:
             raise BudgetExceeded("word expansion", formed, word_cap)
         level = list(dict.fromkeys(
-            tuple(combine(r, b) for r in a) for a in level for b in mats
+            tuple(map(image, a)) for a in level for image in products
         ))
     return MapFamily(fam.field, n, tuple(
         Matrix(fam.field, n, n, tuple(x for r in m for x in vec.unpack(r, n)))
@@ -320,11 +324,30 @@ def dyadic_matchings(n: int) -> list[Matching]:
 _TABLE_CAP = 1 << 10
 
 
-def _map_columns(fam: MapFamily, pack) -> list[tuple]:
-    """Each map's columns as packed vectors: the image of v under the map
-    is combine(v, columns)."""
+def _map_images(fam: MapFamily, vec) -> list:
+    """One function per map, image(v) = the map applied to the packed v.
+
+    Each slot starts as a stand-in; on its first call it builds the map's
+    lookup tables (`vec.images` of its packed columns) and takes its place
+    in the list, so a scan builds tables only for the maps it reaches.
+    """
     n = fam.n
-    return [tuple(pack(m.entries[j::n]) for j in range(n)) for m in fam.maps]
+    images = []
+
+    def stand_in(j: int, cols: tuple):
+        built = None
+
+        def image(v: int) -> int:
+            nonlocal built
+            if built is None:
+                built = images[j] = vec.images(cols)
+            return built(v)
+
+        return image
+
+    for j, m in enumerate(fam.maps):
+        images.append(stand_in(j, tuple(vec.pack(m.entries[c::n]) for c in range(n))))
+    return images
 
 
 def _lex_table(combine, steps, base, gens) -> list:
@@ -336,7 +359,12 @@ def _lex_table(combine, steps, base, gens) -> list:
     return table
 
 
-def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nominal: int):
+def _image_table(image, values) -> list:
+    """The images of values under one map, in their order."""
+    return list(map(image, values))
+
+
+def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], nominal: int):
     """Yields items (d, packed rows, a, count) that cover every dim-d
     subspace once, one Schubert cell at a time in canonical order, free
     entries in lexicographic order.
@@ -354,20 +382,21 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
     leading free values of the row when it has more than a lookup table
     covers.  spans[r] is the span of the images of rows 0..r-1; after each
     step it is rebuilt from the row whose value changed, and no span grows
-    past need[d].  An undecided subspace then adds only the images of its
-    last row, read from per-map tables built with the last row's values,
-    once per cell (once per prefix at d = 1), when a prefix first leaves
-    its last row to decide.  When a span is exactly one short of the need,
-    the next row reaches it iff one of its images lies outside that span,
-    so the images are only tested with `contains`, up to the first one
-    outside, and no span is built.  The caller may lower need[d] between
-    items.  The counts, summed per prefix
-    or block, must come to `nominal`, the dimension's Gaussian binomial;
-    RuntimeError otherwise.
+    past need[d].  images[j] is map j's image function (`_map_images`).
+    An undecided subspace then adds only the images of its last row, read
+    from map j's table of the images of the last row's values (`lasts`),
+    built once per cell (once per prefix at d = 1) when a subspace first
+    reads it.  When a span is exactly one short of the need, the next row
+    reaches it iff one of its images lies outside that span, so the images
+    are only tested with `contains`, up to the first one outside, and no
+    span is built.  The caller may lower need[d] between items.  The
+    counts, summed per prefix or block, must come to `nominal`, the
+    dimension's Gaussian binomial; RuntimeError otherwise.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
     pack, combine = vec.pack, vec.combine
+    maps = len(images)
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
@@ -381,7 +410,7 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
         # is as large as the cell.  At d >= 2 row 0 has at least as many free
         # entries as the last row, so `lasts` and the D map tables hold at
         # most (D + 1) * sqrt(cell size) vectors, bounded by the enumeration
-        # budget, and are built once per cell.
+        # budget, and each is built at most once per cell.
         split = max(0, len(free[last]) - width) if d == 1 else 0
         head, tail = free[last][:split], free[last][split:]
         tail_units = [units[c] for c in tail]
@@ -408,14 +437,14 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
                     # row k decides the prefix iff one of its images leaves the
                     # span; if none does, it adds nothing, and a block never
                     # reads the span it would have built
-                    for cols in maps_cols:
-                        if not span.contains(combine(row, cols)):
+                    for image in images:
+                        if not span.contains(image(row)):
                             a = target
                             break
                 else:
                     span = span.copy()
-                    for cols in maps_cols:
-                        if span.add(combine(row, cols)) is not None and span.dim >= target:
+                    for image in images:
+                        if span.add(image(row)) is not None and span.dim >= target:
                             break
                     a = span.dim
                 k += 1
@@ -429,8 +458,7 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
                 if cur[last] != base:
                     base = cur[last]
                     lasts = _lex_table(combine, steps, base, tail_units)
-                    tables = [_lex_table(combine, steps, combine(base, cols),
-                                         [cols[c] for c in tail]) for cols in maps_cols]
+                    tables = [None] * maps
                 covered += len(lasts)
                 rows = tuple(cur[:last])
                 reached = a
@@ -438,13 +466,17 @@ def _grassmann_scan(fam: MapFamily, maps_cols, d: int, need: dict[int, int], nom
                     a = reached
                     if a < target:
                         if a == target - 1:
-                            for table in tables:
+                            for j, table in enumerate(tables):
+                                if table is None:
+                                    table = tables[j] = _image_table(images[j], lasts)
                                 if not span.contains(table[x]):
                                     a = target
                                     break
                         else:
                             grown = span.copy()
-                            for table in tables:
+                            for j, table in enumerate(tables):
+                                if table is None:
+                                    table = tables[j] = _image_table(images[j], lasts)
                                 if grown.add(table[x]) is not None and grown.dim >= target:
                                     break
                             a = grown.dim
@@ -508,23 +540,22 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     if total > enumeration_cap:
         raise BudgetExceeded(stage, total, enumeration_cap)
     vec = vectors(p)
-    pack, combine = vec.pack, vec.combine
-    maps_cols = _map_columns(fam, pack)
+    images = _map_images(fam, vec)
     if samples is None:
         for d in need:
-            yield from _grassmann_scan(fam, maps_cols, d, need, nominal[d])
+            yield from _grassmann_scan(fam, images, d, need, nominal[d])
         return
     rng = random.Random(seed)
     for d in need:
         for _ in range(samples):
-            rows = tuple(map(pack, sample_with_rng(fam.n, d, fam.field, rng)))
+            rows = tuple(map(vec.pack, sample_with_rng(fam.n, d, fam.field, rng)))
             target = need[d]
             span = make_row_span(p)
-            for cols in maps_cols:
+            for image in images:
                 if span.dim >= target:
                     break
                 for v in rows:
-                    if span.add(combine(v, cols)) is not None and span.dim >= target:
+                    if span.add(image(v)) is not None and span.dim >= target:
                         break
             yield d, rows, span.dim, 1
 

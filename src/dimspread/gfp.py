@@ -10,9 +10,11 @@ field, laid out here and nowhere else: over GF(2) bit j is coordinate j and
 vectors add with XOR; over odd p coordinate j is the lane of `_lanes(p)`
 bits at j * width, and vectors add as whole ints whose lanes are reduced
 mod p only before one could overflow and once at the end.  `vectors(p)`
-returns the pack/unpack/combine operations for that representation and
-`make_row_span(p)` the matching span accumulator.  Elimination (`rref`,
-`kernel_basis`, `solve`) runs on dense residue rows for every p.
+returns the pack/unpack/combine/images operations for that representation
+and `make_row_span(p)` the matching span accumulator.  Over GF(2), `images`
+reads the combinations of fixed rows from XOR tables of 2**8 entries, one
+per 8 rows (`_CHUNK`).  Elimination (`rref`, `kernel_basis`, `solve`) runs
+on dense residue rows for every p.
 """
 
 from __future__ import annotations
@@ -230,6 +232,33 @@ def _combine_bits(coeffs: int, rows) -> int:
     return w
 
 
+# Coordinates per GF(2) image table: each table holds the 2**8 XORs of 8 rows.
+_CHUNK = 8
+
+
+def _images_bits(rows) -> Callable:
+    """image(v) == _combine_bits(v, rows), read from one table per `_CHUNK`
+    rows; table[k] is the XOR of the rows at the set bits of k."""
+    tables = []
+    for lo in range(0, len(rows), _CHUNK):
+        table = [0]
+        for row in rows[lo:lo + _CHUNK]:
+            table += [t ^ row for t in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    mask = (1 << _CHUNK) - 1
+
+    def image(v: int) -> int:
+        w = 0
+        for table in tables:
+            w ^= table[v & mask]
+            v >>= _CHUNK
+        return w
+
+    return image
+
+
 class FieldVectors(NamedTuple):
     """The vector representation of one field.
 
@@ -237,14 +266,18 @@ class FieldVectors(NamedTuple):
     unpack(v, width) turns it back into a tuple, and combine(coeffs, rows)
     is the vector sum of coeffs[k] * rows[k], where coeffs is itself a
     vector and rows are one or more vectors of one common width.
+    images(rows) fixes the rows and returns image, with image(coeffs) ==
+    combine(coeffs, rows); over GF(2) it reads lookup tables built here,
+    at most 2**8 vectors per 8 rows.
     """
 
     pack: Callable
     unpack: Callable
     combine: Callable
+    images: Callable
 
 
-_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _combine_bits)
+_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _combine_bits, _images_bits)
 
 
 class _Lanes(NamedTuple):
@@ -324,7 +357,13 @@ def _residue_vectors(p: int) -> FieldVectors:
                 room -= 1
         return reduce(acc)
 
-    return FieldVectors(lanes.pack, unpack, combine)
+    def images(rows) -> Callable:
+        def image(coeffs: int) -> int:
+            return combine(coeffs, rows)
+
+        return image
+
+    return FieldVectors(lanes.pack, unpack, combine, images)
 
 
 def vectors(p: int) -> FieldVectors:

@@ -255,7 +255,8 @@ def min_spanning_rank_ones(
         if m.field != field or (m.rows, m.cols) != (d2, d3):
             raise ValueError("slices have inconsistent shapes or fields")
 
-    pack, unpack, _ = vectors(p)
+    vec = vectors(p)
+    pack, unpack = vec.pack, vec.unpack
     base = make_row_span(p)
     for m in slices:
         base.add(pack(m.entries))

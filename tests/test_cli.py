@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import dimspread.cli as cli_module
 from dimspread.cli import RunConfig, main
+from dimspread.errors import BudgetExceeded
 from dimspread.families import MapFamily, symmetrize, words
 from dimspread.formats import (
     parse_decomposition,
@@ -749,6 +751,68 @@ def test_pipeline_certified_frozen(run, tmp_path):
         "rank_check: confirmed\n"
         "verdict: certified\n"
         "conclusive: yes\n"
+    )
+
+
+def shifts4_file(run, tmp_path):
+    path = str(tmp_path / "s4.maps")
+    assert run("build-maps", "--kind", "shifts", "--n", "4", "--out", path)[0] == 0
+    return path
+
+
+# the report lines of the shift n=4 pipeline up to its rank check
+PIPELINE_S4_HEAD = (
+    "report: pipeline\n"
+    "field: 2\n"
+    "n: 4\n"
+    "maps_in: 3\n"
+    "maps_symmetrized: 3\n"
+    "epsilon: 1/2\n"
+    "mode: exhaustive\n"
+    "tau_star: 1/2\n"
+    "word_length: 7\n"
+    "word_count: 31\n"
+    "s: 2\n"
+    "t: 2\n"
+    "spreading: holds\n"
+    "certified_bound: 4\n"
+)
+
+
+def test_pipeline_rank_check_over_budget_is_skipped(run, tmp_path, monkeypatch):
+    # At every n the rank check admits (n <= 4 over GF(2)), the word
+    # family's slices span more than r_max, so the search answers before a
+    # step budget can stop it; here it is replaced by one that runs out.
+    def over_budget(tensor, r_max, **caps):
+        raise BudgetExceeded("rank search", caps["step_cap"] + 1, caps["step_cap"])
+
+    monkeypatch.setattr(cli_module, "tensor_rank", over_budget)
+    path = shifts4_file(run, tmp_path)
+    code, out, err = run("pipeline", path, "--epsilon", "1/2")
+    assert (code, err) == (0, "")
+    assert out == PIPELINE_S4_HEAD + (
+        "rank_check: skipped\n"
+        "verdict: certified\n"
+        "conclusive: yes\n"
+    )
+
+
+def test_pipeline_rank_below_the_bound_is_a_discrepancy(run, tmp_path, monkeypatch):
+    # A rank search that finds fewer terms than the certified bound means one
+    # of the two is wrong; the pipeline says so and exits 1.
+    calls = []
+
+    def too_low(tensor, r_max, **caps):
+        calls.append(r_max)
+        return 3, ()
+
+    monkeypatch.setattr(cli_module, "tensor_rank", too_low)
+    path = shifts4_file(run, tmp_path)
+    code, out, err = run("pipeline", path, "--epsilon", "1/2")
+    assert (code, err, calls) == (1, "", [3])
+    assert out == PIPELINE_S4_HEAD + (
+        "rank_check: VIOLATION rank 3 < bound 4\n"
+        "verdict: discrepancy\n"
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import dimspread.families as families_module
 import dimspread.subspace as subspace_module
+from dimspread.certify import certify_lower_bound
 from dimspread.errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
 from dimspread.families import (
     MapFamily,
@@ -515,6 +516,13 @@ def test_large_expansion_closure_checks():
         verify_large_expansion(MapFamily(GF2, 2, (I2, N2)), 1)  # transpose missing
 
 
+def test_large_expansion_rejects_a_nonpositive_tau():
+    fam = matching_maps(shift_matchings(3), GF2)
+    for tau in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            verify_large_expansion(fam, tau)
+
+
 def test_large_expansion_requires_expander():
     with pytest.raises(ValueError, match="expander"):
         verify_large_expansion(MapFamily(GF2, 3, (I3,)), 1)
@@ -589,21 +597,71 @@ def test_last_row_tables_stay_under_the_cap():
 def test_last_row_tables_are_built_once_per_cell(monkeypatch):
     # At cap 4 a GF(2) table covers two free entries, and the last rows of
     # GF(2) n=6 at d = 2 have up to four.  Only one-row cells split, so each
-    # cell builds d row tables, one last-row table and D map tables; with the
-    # need at n no prefix span reaches it, and every cell needs its map tables.
+    # cell builds d row tables, one last-row table and at most D map tables;
+    # with the need at n no prefix span reaches it.  Both kinds are counted.
     fam = matching_maps(shift_matchings(6), GF2)
     d, builds = 2, []
-    lex_table = families_module._lex_table
 
-    def counted(*args):
-        builds.append(1)
-        return lex_table(*args)
+    def counted(build):
+        def wrapper(*args):
+            builds.append(1)
+            return build(*args)
+        return wrapper
 
     monkeypatch.setattr(families_module, "_TABLE_CAP", 4)
-    monkeypatch.setattr(families_module, "_lex_table", counted)
+    monkeypatch.setattr(families_module, "_lex_table", counted(families_module._lex_table))
+    monkeypatch.setattr(families_module, "_image_table", counted(families_module._image_table))
     scan = list(families_module._image_sums(fam, {d: fam.n}, None, None, 10**6, "test"))
     assert sum(count for *_, count in scan) == grassmann_count(6, d, 2)
     assert len(builds) <= math.comb(6, d) * (d + 1 + len(fam.maps))
+
+
+def count_image_tables(monkeypatch) -> list:
+    """The rows of every `images` call the scans make, in order, through
+    families.vectors."""
+    built, real = [], families_module.vectors
+
+    def counted(p):
+        vec = real(p)
+
+        def images(rows):
+            built.append(rows)
+            return vec.images(rows)
+
+        return vec._replace(images=images)
+
+    monkeypatch.setattr(families_module, "vectors", counted)
+    return built
+
+
+def map_columns(fam):
+    pack, n = vectors(fam.field.modulus).pack, fam.n
+    return [tuple(pack(m.entries[c::n]) for c in range(n)) for m in fam.maps]
+
+
+@pytest.mark.parametrize("kind, t, reached", [
+    (shift_matchings, 10, 8), (dyadic_matchings, 4, 5),
+], ids=["shift-122-words", "dyadic-128-words"])
+def test_image_tables_are_built_only_for_the_maps_reached(kind, t, reached, monkeypatch):
+    # Work counter: certify at s = t = 4 on a word family of n=7 stops every
+    # image sum at dim 4, which the first few maps reach.  Images are taken
+    # map by map in family order, so the maps with tables are a prefix of the
+    # family, each built once for the whole scan.
+    fam = words(symmetrize(matching_maps(kind(7), GF2)), t)
+    built = count_image_tables(monkeypatch)
+    certify_lower_bound(fam, SpreadingParams(4, 4))
+    assert built == map_columns(fam)[:reached]
+    assert reached < len(fam.maps) // 10
+
+
+def test_sampled_image_tables_are_built_only_for_the_maps_reached(monkeypatch):
+    # Work counter, as above: 200 draws of dim 3 on the 122 words stop at
+    # image-sum dim 6, which none of them needs more than 7 maps to reach.
+    fam = words(symmetrize(matching_maps(shift_matchings(7), GF2)), 10)
+    built = count_image_tables(monkeypatch)
+    res = verify_spreading(fam, SpreadingParams(3, 6), samples=200, seed=5)
+    assert res.verified
+    assert built == map_columns(fam)[:7]
 
 
 def shift_words_7():
@@ -637,12 +695,12 @@ def test_scan_checks_its_counts():
     # the counts of a dimension must sum to the Gaussian binomial it is given
     fam = shift_words_7()
     p, n, d = 2, fam.n, 3
-    maps_cols = families_module._map_columns(fam, vectors(p).pack)
+    images = families_module._map_images(fam, vectors(p))
     nominal = grassmann_count(n, d, p)
     assert sum(item[3] for item in families_module._grassmann_scan(
-        fam, maps_cols, d, {d: n}, nominal)) == nominal
+        fam, images, d, {d: n}, nominal)) == nominal
     with pytest.raises(RuntimeError, match="covered 11811 subspaces, not 11812"):
-        list(families_module._grassmann_scan(fam, maps_cols, d, {d: n}, nominal + 1))
+        list(families_module._grassmann_scan(fam, images, d, {d: n}, nominal + 1))
 
 
 @pytest.mark.parametrize("fam, need, items, subspaces", [

@@ -284,6 +284,43 @@ def test_field_vectors_match_the_matrix_layer(p):
         assert span.dim == rref(m).rank
 
 
+def row_sets(rng, n, draw):
+    """Random rows, and rows with a zero row and a repeated row among them."""
+    plain = [draw() for _ in range(n)]
+    degenerate = list(plain)
+    degenerate[0] = 0
+    degenerate[n // 2] = degenerate[-1]
+    return plain, degenerate
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+def test_gf2_images_match_combine(n):
+    # one 2**8-entry table per 8 rows: n = 8, 9, 16 and 17 straddle the
+    # chunks, and n <= 9 is checked at every coefficient vector
+    vec = vectors(2)
+    rng = random.Random(400 + n)
+    coeffs = range(2**n) if n <= 9 else [rng.getrandbits(n) for _ in range(2000)]
+    for rows in row_sets(rng, n, lambda: rng.getrandbits(n + 3)):
+        image = vec.images(rows)
+        assert [image(v) for v in coeffs] == [vec.combine(v, rows) for v in coeffs]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 257])
+def test_odd_images_match_combine(p):
+    # 257 has 16-bit lanes; the all-(p - 1) coefficients cross the lane
+    # term budget of p = 7
+    vec = vectors(p)
+    rng = random.Random(500 + p)
+    for n in range(1, 7):
+        width = rng.randrange(1, 8)
+        coeffs = [vec.pack([rng.randrange(p) for _ in range(n)]) for _ in range(300)]
+        coeffs.append(vec.pack([p - 1] * n))
+        draw = lambda: vec.pack([rng.randrange(p) for _ in range(width)])
+        for rows in row_sets(rng, n, draw):
+            image = vec.images(rows)
+            assert [image(v) for v in coeffs] == [vec.combine(v, rows) for v in coeffs]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_line_key_decides_membership_in_span_plus_one_vector(p):
     # w lies in J + <v> exactly when key(w) is 0 or key(v), checked by rref
