@@ -358,8 +358,21 @@ def _residue_vectors(p: int) -> FieldVectors:
         return reduce(acc)
 
     def images(rows) -> Callable:
+        # combine with the rows bound, its loop repeated here so that an
+        # image costs one call, not two
+        size = len(rows)
+
         def image(coeffs: int) -> int:
-            return combine(coeffs, rows)
+            acc = 0
+            room = again
+            for c, row in zip(unpack(coeffs, size), rows):
+                if c:
+                    if not room:
+                        acc = reduce(acc)
+                        room = again
+                    acc += c * row
+                    room -= 1
+            return reduce(acc)
 
         return image
 

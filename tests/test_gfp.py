@@ -307,8 +307,8 @@ def test_gf2_images_match_combine(n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 257])
 def test_odd_images_match_combine(p):
-    # 257 has 16-bit lanes; the all-(p - 1) coefficients cross the lane
-    # term budget of p = 7
+    # 257 has 16-bit lanes; the lane term budget is crossed in
+    # test_combine_at_the_lane_term_budget
     vec = vectors(p)
     rng = random.Random(500 + p)
     for n in range(1, 7):
@@ -391,9 +391,10 @@ def test_combine_at_the_lane_term_budget(p):
     k, top = WORST_TERMS[p], p - 1
     rows = [[top] * (k + 1) for _ in range(k)]
     rows[-1][-1] = 1  # so that the last lane differs from the others
-    got = vec.unpack(vec.combine(vec.pack([top] * k), [vec.pack(r) for r in rows]), k + 1)
+    coeffs, packed = vec.pack([top] * k), [vec.pack(r) for r in rows]
     want = tuple(sum(top * r[j] for r in rows) % p for j in range(k + 1))
-    assert got == want
+    assert vec.unpack(vec.combine(coeffs, packed), k + 1) == want
+    assert vec.unpack(vec.images(packed)(coeffs), k + 1) == want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 65521])
