@@ -396,7 +396,6 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
     pack, combine = vec.pack, vec.combine
-    maps = len(images)
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
@@ -458,7 +457,7 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
                 if cur[last] != base:
                     base = cur[last]
                     lasts = _lex_table(combine, steps, base, tail_units)
-                    tables = [None] * maps
+                    tables = [None] * len(images)
                 covered += len(lasts)
                 rows = tuple(cur[:last])
                 reached = a
