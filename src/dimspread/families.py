@@ -350,15 +350,6 @@ def _map_images(fam: MapFamily, vec) -> list:
     return images
 
 
-def _lex_table(combine, steps, base, gens) -> list:
-    """base + sum of v[j] * gens[j] for every value vector v, in
-    lexicographic order; steps[a] is the coefficient vector (1, a)."""
-    table = [base]
-    for g in gens:
-        table = [combine(c, (t, g)) for t in table for c in steps]
-    return table
-
-
 def _image_table(image, values) -> list:
     """The images of values under one map, in their order."""
     return list(map(image, values))
@@ -377,30 +368,32 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
     block, whose a is the dim of that span (grown no further than need[d]):
     every member's image sum contains it.
 
-    The rows are walked as a tree by an odometer (`idx`, `cur`).  In each
-    cell the prefix is the free values of rows 0..d-2, and at d = 1 the
-    leading free values of the row when it has more than a lookup table
-    covers.  spans[r] is the span of the images of rows 0..r-1; after each
-    step it is rebuilt from the row whose value changed, and no span grows
-    past need[d].  images[j] is map j's image function (`_map_images`).
-    An undecided subspace then adds only the images of its last row, read
-    from map j's table of the images of the last row's values (`lasts`),
-    built once per cell (once per prefix at d = 1) when a subspace first
-    reads it.  When a span is exactly one short of the need, the next row
-    reaches it iff one of its images lies outside that span, so the images
-    are only tested with `contains`, up to the first one outside, and no
-    span is built.  The caller may lower need[d] between items.  The
-    counts, summed per prefix or block, must come to `nominal`, the
-    dimension's Gaussian binomial; RuntimeError otherwise.
+    The rows are walked as a tree by an odometer (`idx`, `cur`) over the
+    values of each prefix row, which `vec.fill` lists once per cell from
+    the row's pivot unit (`choices`).  In each cell the prefix is the free
+    values of rows 0..d-2, and at d = 1 the leading free values of the row
+    when it has more than a lookup table covers.  spans[r] is the span of
+    the images of rows 0..r-1; after each step it is rebuilt from the row
+    whose value changed, and no span grows past need[d].  images[j] is map
+    j's image function (`_map_images`).  An undecided subspace then adds
+    only the images of its last row.  `fill` lists that row's values
+    (`lasts`) from its pivot unit, or from its head value when a one-row
+    cell splits, and map j's table holds their images, built once per cell
+    (once per prefix at d = 1) when a subspace first reads it.  When a span
+    is exactly one short of the need, the next row reaches it iff one of
+    its images lies outside that span, so the images are only tested with
+    `contains`, up to the first one outside, and no span is built.  The
+    caller may lower need[d] between items.  The counts, summed per prefix
+    or block, must come to `nominal`, the dimension's Gaussian binomial;
+    RuntimeError otherwise.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
-    pack, combine = vec.pack, vec.combine
+    pack, fill = vec.pack, vec.fill
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
     units = [pack(tuple(int(j == c) for j in range(n))) for c in range(n)]
-    steps = [pack((1, a)) for a in range(p)]
     empty = make_row_span(p)
     last = d - 1
     covered = 0
@@ -412,8 +405,7 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
         # budget, and each is built at most once per cell.
         split = max(0, len(free[last]) - width) if d == 1 else 0
         head, tail = free[last][:split], free[last][split:]
-        tail_units = [units[c] for c in tail]
-        choices = [_lex_table(combine, steps, units[pivots[r]], [units[c] for c in cols])
+        choices = [fill(units[pivots[r]], cols)
                    for r, cols in enumerate(free[:last] + (head,))]
         # below[r]: subspaces in the subtree of one value of rows 0..r-1
         below = [p ** len(tail)] * (d + 1)
@@ -456,7 +448,7 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
             else:
                 if cur[last] != base:
                     base = cur[last]
-                    lasts = _lex_table(combine, steps, base, tail_units)
+                    lasts = fill(base, tail)
                     tables = [None] * len(images)
                 covered += len(lasts)
                 rows = tuple(cur[:last])

@@ -57,10 +57,11 @@ class _Lines:
 
 
 def _int_token(tok: str, what: str, no: int) -> int:
-    try:
-        return int(tok, 10)
-    except ValueError:
-        raise ValueError(f"line {no}: {what} must be an integer, got {tok!r}") from None
+    """ASCII digits with an optional leading '-'; int() alone would also
+    take '+', '_' separators and non-ASCII digits."""
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise ValueError(f"line {no}: {what} must be an integer, got {tok!r}")
 
 
 def _header(lines: _Lines, tag: str) -> None:

@@ -10,11 +10,12 @@ field, laid out here and nowhere else: over GF(2) bit j is coordinate j and
 vectors add with XOR; over odd p coordinate j is the lane of `_lanes(p)`
 bits at j * width, and vectors add as whole ints whose lanes are reduced
 mod p only before one could overflow and once at the end.  `vectors(p)`
-returns the pack/unpack/combine/images operations for that representation
+returns the pack/unpack/images/fill operations for that representation
 and `make_row_span(p)` the matching span accumulator.  Over GF(2), `images`
 reads the combinations of fixed rows from XOR tables of 2**8 entries, one
-per 8 rows (`_CHUNK`).  Elimination (`rref`, `kernel_basis`, `solve`) runs
-on dense residue rows for every p.
+per 8 rows (`_CHUNK`).  `fill` sets coordinates that are 0 to every value,
+which is int addition with no carry in either layout.  Elimination (`rref`,
+`kernel_basis`, `solve`) runs on dense residue rows for every p.
 """
 
 from __future__ import annotations
@@ -222,23 +223,14 @@ def unpack_bits(v: int, width: int) -> tuple[int, ...]:
     return tuple((v >> j) & 1 for j in range(width))
 
 
-def _combine_bits(coeffs: int, rows) -> int:
-    """XOR of rows[k] over the set bits k of coeffs."""
-    w = 0
-    while coeffs:
-        low = coeffs & -coeffs
-        w ^= rows[low.bit_length() - 1]
-        coeffs ^= low
-    return w
-
-
 # Coordinates per GF(2) image table: each table holds the 2**8 XORs of 8 rows.
 _CHUNK = 8
 
 
 def _images_bits(rows) -> Callable:
-    """image(v) == _combine_bits(v, rows), read from one table per `_CHUNK`
-    rows; table[k] is the XOR of the rows at the set bits of k."""
+    """image(v) is the XOR of rows[k] over the set bits k of v, read from one
+    table per `_CHUNK` rows; table[k] is the XOR of the rows at the set bits
+    of k."""
     tables = []
     for lo in range(0, len(rows), _CHUNK):
         table = [0]
@@ -259,25 +251,39 @@ def _images_bits(rows) -> Callable:
     return image
 
 
+def _filler(p: int, width: int) -> Callable:
+    """fill for vectors whose coordinate c sits at bit c * width."""
+
+    def fill(base: int, cols) -> list:
+        table = [base]
+        for c in cols:
+            values = range(0, p << c * width, 1 << c * width)
+            table = [t + x for t in table for x in values]
+        return table
+
+    return fill
+
+
 class FieldVectors(NamedTuple):
     """The vector representation of one field.
 
-    pack(seq) turns a sequence of reduced residues into a vector,
-    unpack(v, width) turns it back into a tuple, and combine(coeffs, rows)
-    is the vector sum of coeffs[k] * rows[k], where coeffs is itself a
-    vector and rows are one or more vectors of one common width.
-    images(rows) fixes the rows and returns image, with image(coeffs) ==
-    combine(coeffs, rows); over GF(2) it reads lookup tables built here,
-    at most 2**8 vectors per 8 rows.
+    pack(seq) turns a sequence of reduced residues into a vector and
+    unpack(v, width) turns it back into a tuple.  images(rows) fixes one or
+    more vectors of one common width and returns image, where image(coeffs)
+    is the vector sum of coeffs[k] * rows[k] and coeffs is itself a vector;
+    over GF(2) it reads lookup tables built here, at most 2**8 vectors per
+    8 rows.  fill(base, cols) lists every vector that agrees with base off
+    the coordinates cols, in lexicographic order of its entries at cols,
+    first column slowest; base must be 0 at cols.
     """
 
     pack: Callable
     unpack: Callable
-    combine: Callable
     images: Callable
+    fill: Callable
 
 
-_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _combine_bits, _images_bits)
+_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _images_bits, _filler(2, 1))
 
 
 class _Lanes(NamedTuple):
@@ -345,21 +351,7 @@ def _residue_vectors(p: int) -> FieldVectors:
     lanes = _lanes(p)
     again, reduce, unpack = lanes.again, lanes.reduce, lanes.unpack
 
-    def combine(coeffs: int, rows) -> int:
-        acc = 0
-        room = again
-        for c, row in zip(unpack(coeffs, len(rows)), rows):
-            if c:
-                if not room:
-                    acc = reduce(acc)
-                    room = again
-                acc += c * row
-                room -= 1
-        return reduce(acc)
-
     def images(rows) -> Callable:
-        # combine with the rows bound, its loop repeated here so that an
-        # image costs one call, not two
         size = len(rows)
 
         def image(coeffs: int) -> int:
@@ -376,7 +368,7 @@ def _residue_vectors(p: int) -> FieldVectors:
 
         return image
 
-    return FieldVectors(lanes.pack, unpack, combine, images)
+    return FieldVectors(lanes.pack, unpack, images, _filler(p, lanes.width))
 
 
 def vectors(p: int) -> FieldVectors:

@@ -115,6 +115,14 @@ def rank_mod_p(rows, p: int) -> int:
     return len(rref_mod_p(rows, p))
 
 
+def combine(coeffs, rows, p: int) -> tuple:
+    """The sum of coeffs[k] * rows[k] mod p, entry by entry, for residue
+    lists rows of one common width."""
+    width = len(rows[0])
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                 for j in range(width))
+
+
 def image_sum_dim(maps, basis, n: int, p: int) -> int:
     """dim of the sum of M(U) over the maps M, for U spanned by `basis`.
 

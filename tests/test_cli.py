@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: reports, files, exit codes."""
 
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dimspread
 import dimspread.cli as cli_module
 from dimspread.cli import RunConfig, main
 from dimspread.errors import BudgetExceeded
@@ -17,7 +22,7 @@ from dimspread.formats import (
     serialize_tensor,
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix
-from dimspread.tensor import eval_decomposition, slice_tensor
+from dimspread.tensor import Tensor3, eval_decomposition, slice_tensor
 
 I2 = Matrix.identity(GF2, 2)
 N2 = Matrix.from_rows(GF2, [[0, 1], [0, 0]])
@@ -189,6 +194,14 @@ def test_build_maps_file_kinds_check_field_and_n(run, tmp_path):
 def test_missing_input_file(run, tmp_path):
     code, _, err = run("symmetrize", str(tmp_path / "absent.maps"))
     assert code == 2 and "error:" in err
+
+
+def test_maps_file_with_a_non_decimal_token_exits_2(run, tmp_path):
+    bad = tmp_path / "bad.maps"
+    bad.write_text("mapfamily 1\nfield 2\nn 1_0\ncount 1\n1\n", encoding="ascii")
+    code, out, err = run("measure", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: n must be an integer, got '1_0'\n"
 
 
 def test_symmetrize_command(run, tmp_path):
@@ -946,3 +959,33 @@ def test_scan_budgets_fire_before_the_scan(run, tmp_path, argv, stage):
     assert out == ""
     assert f"budget exceeded in {stage}" in err
     assert elapsed < 1.0
+
+
+def test_reports_do_not_depend_on_the_hash_seed(run, tmp_path):
+    # Reports are byte-for-byte deterministic: each run gives the same exit
+    # code, stdout, stderr and written file in a fresh interpreter under
+    # either hash seed.
+    src = str(tmp_path / "s5.maps")
+    assert run("build-maps", "--kind", "shifts", "--n", "5", "--out", src)[0] == 0
+    tensor, dec = tmp_path / "w.t3", tmp_path / "w.dec"
+    tensor.write_text(serialize_tensor(Tensor3(GF2, 2, 2, 2, (0, 1, 1, 0, 1, 0, 0, 0))),
+                      encoding="ascii")
+    corpus = [
+        ["pipeline", src, "--epsilon", "1/2"],
+        ["measure", src, "--samples", "20", "--seed", "3"],
+        ["verify-spreading", src, "--s", "2", "--t", "4"],  # refuted
+        ["tensor-rank", str(tensor), "--r-max", "3", "--dec-out", str(dec)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(dimspread.__file__).parent.parent))
+
+    def outputs(seed):
+        runs = [subprocess.run([sys.executable, "-m", "dimspread", *argv],
+                               env=dict(env, PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, timeout=120)
+                for argv in corpus]
+        return ([(done.returncode, done.stdout, done.stderr) for done in runs],
+                dec.read_text(encoding="ascii"))
+
+    first = outputs("0")
+    assert [code for code, *_ in first[0]] == [0, 0, 1, 0]
+    assert outputs("12345") == first

@@ -598,9 +598,11 @@ def test_last_row_tables_are_built_once_per_cell(monkeypatch):
     # At cap 4 a GF(2) table covers two free entries, and the last rows of
     # GF(2) n=6 at d = 2 have up to four.  Only one-row cells split, so each
     # cell builds d row tables, one last-row table and at most D map tables;
-    # with the need at n no prefix span reaches it.  Both kinds are counted.
+    # with the need at n no prefix span reaches it.  Both kinds are counted:
+    # row tables as `fill` calls through families.vectors.
     fam = matching_maps(shift_matchings(6), GF2)
     d, builds = 2, []
+    real = families_module.vectors
 
     def counted(build):
         def wrapper(*args):
@@ -608,8 +610,12 @@ def test_last_row_tables_are_built_once_per_cell(monkeypatch):
             return build(*args)
         return wrapper
 
+    def counted_vectors(p):
+        vec = real(p)
+        return vec._replace(fill=counted(vec.fill))
+
     monkeypatch.setattr(families_module, "_TABLE_CAP", 4)
-    monkeypatch.setattr(families_module, "_lex_table", counted(families_module._lex_table))
+    monkeypatch.setattr(families_module, "vectors", counted_vectors)
     monkeypatch.setattr(families_module, "_image_table", counted(families_module._image_table))
     scan = list(families_module._image_sums(fam, {d: fam.n}, None, None, 10**6, "test"))
     assert sum(count for *_, count in scan) == grassmann_count(6, d, 2)

@@ -1,6 +1,7 @@
 """Text formats: strict parsing, canonical serialization, exact round-trips."""
 
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,22 @@ def test_parse_matchings():
         parse_matchings("matchings 1\nn 2\n")
     with pytest.raises(ValueError, match="expected 'matching'"):
         parse_matchings("matchings 1\nn 2\npairs 1:1\n")
+
+
+@pytest.mark.parametrize("tok", ["1_0", "+1", "\u0663"], ids=["underscore", "plus", "arabic-3"])
+def test_parsers_take_only_ascii_digits(tok):
+    # int() alone would read these as 10, 1 and 3
+    cases = [
+        (parse_map_family, f"mapfamily 1\nfield 2\nn 1\ncount {tok}\n1\n", 4, "count"),
+        (parse_map_family, f"mapfamily 1\nfield 2\nn 1\ncount 1\n{tok}\n", 5, "map row"),
+        (parse_tensor, f"tensor3 1\nfield 3\ndims 1 1 {tok}\n", 3, "dims"),
+        (parse_decomposition, f"decomp 1\nfield 2\ndims 1 1 1\nterms {tok}\n", 4, "terms"),
+        (parse_matchings, f"matchings 1\nn 2\nmatching 1:{tok}\n", 3, "pair"),
+    ]
+    for parse, text, no, what in cases:
+        want = f"line {no}: {what} must be an integer, got {tok!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            parse(text)
 
 
 def rand_matrix(field, n, rng):

@@ -2,10 +2,11 @@
 
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
-from oracles import rank_mod_p
+from oracles import combine, rank_mod_p
 
 import dimspread
 from dimspread.gfp import (
@@ -266,7 +267,7 @@ PRIMES = [2, 3, 5, 7, 13, 17, 257, 65521]
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_field_vectors_match_the_matrix_layer(p):
-    # pack/unpack/combine against Matrix.__matmul__ and rref, on seeded inputs
+    # pack/unpack/images against Matrix.__matmul__ and rref, on seeded inputs
     field = FieldSpec(p)
     vec = vectors(p)
     rng = random.Random(100 + p)
@@ -276,8 +277,8 @@ def test_field_vectors_match_the_matrix_layer(p):
         m = rand_matrix(field, rows, cols, rng)
         assert vec.unpack(vec.pack(v), rows) == tuple(v)
         packed_rows = [vec.pack(m.row(i)) for i in range(rows)]
-        product = Matrix(field, 1, rows, tuple(v)) @ m
-        assert vec.unpack(vec.combine(vec.pack(v), packed_rows), cols) == product.entries
+        prod = Matrix(field, 1, rows, tuple(v)) @ m
+        assert vec.unpack(vec.images(packed_rows)(vec.pack(v)), cols) == prod.entries
         span = make_row_span(p)
         for r in packed_rows:
             span.add(r)
@@ -293,6 +294,14 @@ def row_sets(rng, n, draw):
     return plain, degenerate
 
 
+def check_images(vec, p, n, width, coeffs, rows):
+    """images(rows) against oracles.combine on the unpacked residue lists."""
+    image = vec.images(rows)
+    plain = [vec.unpack(row, width) for row in rows]
+    for v in coeffs:
+        assert vec.unpack(image(v), width) == combine(vec.unpack(v, n), plain, p)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
 def test_gf2_images_match_combine(n):
     # one 2**8-entry table per 8 rows: n = 8, 9, 16 and 17 straddle the
@@ -301,8 +310,7 @@ def test_gf2_images_match_combine(n):
     rng = random.Random(400 + n)
     coeffs = range(2**n) if n <= 9 else [rng.getrandbits(n) for _ in range(2000)]
     for rows in row_sets(rng, n, lambda: rng.getrandbits(n + 3)):
-        image = vec.images(rows)
-        assert [image(v) for v in coeffs] == [vec.combine(v, rows) for v in coeffs]
+        check_images(vec, 2, n, n + 3, coeffs, rows)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 257])
@@ -317,8 +325,32 @@ def test_odd_images_match_combine(p):
         coeffs.append(vec.pack([p - 1] * n))
         draw = lambda: vec.pack([rng.randrange(p) for _ in range(width)])
         for rows in row_sets(rng, n, draw):
-            image = vec.images(rows)
-            assert [image(v) for v in coeffs] == [vec.combine(v, rows) for v in coeffs]
+            check_images(vec, p, n, width, coeffs, rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fill_lists_every_value_at_cols_in_lex_order(p):
+    # base holds p - 1 at every coordinate off cols, so a carry out of a
+    # filled coordinate would change its neighbour; cols skip a coordinate
+    # between each other and end at the top one.  k columns give p**k
+    # vectors, at most 4 columns and at most 70,000 vectors.
+    vec = vectors(p)
+    rng = random.Random(600 + p)
+    k = 1
+    while k < 4 and p ** (k + 1) <= 70_000:
+        k += 1
+    for _ in range(3):
+        n = rng.randrange(2 * k, 2 * k + 4)
+        cols = sorted([n - 1] + rng.sample(range(n - 3, -1, -2), k - 1))
+        base = [0 if j in cols else p - 1 for j in range(n)]
+        want = []
+        for values in product(range(p), repeat=k):
+            row = list(base)
+            for c, x in zip(cols, values):
+                row[c] = x
+            want.append(vec.pack(row))
+        assert vec.fill(vec.pack(base), cols) == want
+        assert vec.fill(vec.pack(base), ()) == [vec.pack(base)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -393,7 +425,6 @@ def test_combine_at_the_lane_term_budget(p):
     rows[-1][-1] = 1  # so that the last lane differs from the others
     coeffs, packed = vec.pack([top] * k), [vec.pack(r) for r in rows]
     want = tuple(sum(top * r[j] for r in rows) % p for j in range(k + 1))
-    assert vec.unpack(vec.combine(coeffs, packed), k + 1) == want
     assert vec.unpack(vec.images(packed)(coeffs), k + 1) == want
 
 

@@ -291,16 +291,21 @@ def test_kernel_large_expansion_matches_slow_route(fam):
     check_large(symmetrize(fam))
 
 
-@pytest.mark.parametrize("cap", (1, 4))
+@pytest.mark.parametrize("cap", (1, 4, 17))
 @pytest.mark.parametrize("fam", [KERNEL_FAMILIES[0], KERNEL_FAMILIES[2], KERNEL_FAMILIES[3],
-                                 [f for f in FAMILIES if f.field.modulus == 5][-1]],
+                                 [f for f in FAMILIES if f.field.modulus == 5][-1],
+                                 symmetrized_dyadic(FieldSpec(17), 3)],
                          ids=lambda f: f"p{f.field.modulus}n{f.n}D{len(f.maps)}")
 def test_split_last_rows_match_slow_route(fam, cap, monkeypatch):
     # Splits happen only in one-row cells.  With the table cap at 1
     # every free entry of such a row joins the prefix; at 4 a GF(2) table
     # covers two entries, a GF(3) one one and a GF(5) one none, so prefix and
-    # table share the row.
+    # table share the row; at 17 a table covers four, two, one and one
+    # entries.  GF(17) has 16-bit lanes: at 17 its pivot-0 cell of n=3
+    # splits into a one-column head and a one-column tail, so each tail
+    # table is filled from a head value, nonzero off the pivot for 16 of 17.
     monkeypatch.setattr(families_module, "_TABLE_CAP", cap)
     check_scan_order(fam)
     check_exhaustive(fam)
     check_large(symmetrize(fam))
+
