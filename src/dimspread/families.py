@@ -32,11 +32,14 @@ Gaussian binomial.  A `Subspace` is built only for the counterexample or
 witness reported, which is the same canonical first one a
 subspace-by-subspace walk finds.
 
-Sampled scans take each draw as the canonical rows `sample_with_rng`
-returns, pack them and add their images, map by map, under the same rule,
-so a draw that reaches the need costs no more adds than it takes to get
-there.  As in the exhaustive scan, only the draw reported becomes a
-`Subspace`.
+Sampled scans draw through `sample_with_rng` with a rank test of their
+own (`_independent`): an attempt is packed and its rows added to one row
+span, and it is full rank when every add grows the span.  The draw stays
+the rows as drawn, since an image sum does not depend on the basis, and
+its images are added, map by map, under the same rule, so a draw that
+reaches the need costs no more adds than it takes to get there.  No draw
+is reduced to its canonical basis in the scan: as in the exhaustive scan,
+only the draw reported becomes a `Subspace`, by `span_of`.
 
 Every scan runs in one thread.
 """
@@ -59,6 +62,7 @@ from .subspace import (
     cell_subspaces,
     grassmann_count,
     sample_with_rng,
+    span_of,
     subspace_cells,
 )
 
@@ -498,7 +502,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                 seed: int | None, enumeration_cap: int, stage: str):
     """Yields (dim, packed basis rows, a, count) for each dimension of
     `need`, in its order: the next `count` subspaces, the first of which
-    has these rows, all have image-sum dim >= a.
+    has a basis of these rows, all have image-sum dim >= a.
 
     need[d] is the image-sum dim a dim-d subspace has to reach: a subspace
     that reaches it may be reported with any value >= need[d], and one below
@@ -513,10 +517,12 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     is the canonical first.  Sampled mode checks samples * len(need) draws
     against the same budget, then draws `samples` subspaces per dimension
     from one RNG seeded with `seed` (through the module name
-    `sample_with_rng`, once per draw), packs the canonical rows each draw
-    returns, adds their images until the span reaches need[d], and yields
-    each draw with count 1.  No draw is validated or built into a
-    `Subspace` here; the caller builds one only for the draw it reports.
+    `sample_with_rng`, once per draw, with `_independent` as its rank test),
+    adds the images of each draw's packed rows until the span reaches
+    need[d], and yields each draw with count 1.  Sampled rows are as drawn,
+    not canonical; no draw is reduced, validated or built into a `Subspace`
+    here, and the caller builds one, by `_subspace`, only for the draw it
+    reports.
     """
     p = fam.field.modulus
     if samples is None:
@@ -537,9 +543,10 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
             yield from _grassmann_scan(fam, images, d, need, nominal[d])
         return
     rng = random.Random(seed)
+    accept = _independent(p)
     for d in need:
         for _ in range(samples):
-            rows = tuple(map(vec.pack, sample_with_rng(fam.n, d, fam.field, rng)))
+            rows = sample_with_rng(fam.n, d, fam.field, rng, accept)
             target = need[d]
             span = make_row_span(p)
             for image in images:
@@ -551,11 +558,30 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
             yield d, rows, span.dim, 1
 
 
+def _independent(p: int):
+    """The sampler's rank test on packed rows: accept(rows) packs an
+    attempt's rows and returns them as drawn when each one grows one row
+    span, and None at the first that does not."""
+    pack = vectors(p).pack
+
+    def accept(rows):
+        packed = tuple(map(pack, rows))
+        span = make_row_span(p)
+        for v in packed:
+            if span.add(v) is None:
+                return None
+        return packed
+
+    return accept
+
+
 def _subspace(fam: MapFamily, rows) -> Subspace:
-    """The validated subspace whose canonical basis has these packed rows."""
+    """The validated subspace these packed, independent rows span.  Sampled
+    rows are as drawn, so they are reduced here; exhaustive rows are already
+    the canonical basis, and the elimination leaves them as they are."""
     unpack = vectors(fam.field.modulus).unpack
     entries = tuple(x for r in rows for x in unpack(r, fam.n))
-    return Subspace(fam.field, fam.n, Matrix(fam.field, len(rows), fam.n, entries))
+    return span_of(Matrix(fam.field, len(rows), fam.n, entries))
 
 
 def _first_violation(fam: MapFamily, thresholds: dict[int, int], samples: int | None,

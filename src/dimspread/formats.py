@@ -72,17 +72,21 @@ def _header(lines: _Lines, tag: str) -> None:
         raise ValueError(f"line {no}: unsupported {tag} version {toks[1]!r}")
 
 
-def _keyword_int(lines: _Lines, key: str, *, count: int = 1) -> list[int]:
+def _keyword_int(lines: _Lines, key: str, *, count: int = 1) -> tuple[int, list[int]]:
+    """(line number, values) of a `key v1 .. vcount` line."""
     no, toks = lines.take(f"{key} line")
     if len(toks) != 1 + count or toks[0] != key:
         raise ValueError(f"line {no}: expected {key!r} with {count} value(s), "
                          f"got {' '.join(toks)!r}")
-    return [_int_token(t, key, no) for t in toks[1:]]
+    return no, [_int_token(t, key, no) for t in toks[1:]]
 
 
 def _field_line(lines: _Lines) -> FieldSpec:
-    (p,) = _keyword_int(lines, "field")
-    return FieldSpec(p)
+    no, (p,) = _keyword_int(lines, "field")
+    try:
+        return FieldSpec(p)
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
 
 
 def _residue_row(lines: _Lines, count: int, p: int, what: str) -> tuple[int, ...]:
@@ -112,12 +116,12 @@ def parse_map_family(text: str) -> MapFamily:
     lines = _Lines(text)
     _header(lines, "mapfamily")
     field = _field_line(lines)
-    (n,) = _keyword_int(lines, "n")
-    (count,) = _keyword_int(lines, "count")
+    n_no, (n,) = _keyword_int(lines, "n")
+    count_no, (count,) = _keyword_int(lines, "count")
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"line {n_no}: n must be at least 1, got {n}")
     if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+        raise ValueError(f"line {count_no}: count must be at least 1, got {count}")
     maps = [_matrix_block(lines, n, n, field, "map row") for _ in range(count)]
     lines.finish()
     return MapFamily(field, n, tuple(maps))
@@ -144,9 +148,9 @@ def parse_tensor(text: str) -> Tensor3:
     lines = _Lines(text)
     _header(lines, "tensor3")
     field = _field_line(lines)
-    d1, d2, d3 = _keyword_int(lines, "dims", count=3)
+    dims_no, (d1, d2, d3) = _keyword_int(lines, "dims", count=3)
     if min(d1, d2, d3) < 1:
-        raise ValueError(f"dims must be positive, got {d1} {d2} {d3}")
+        raise ValueError(f"line {dims_no}: dims must be positive, got {d1} {d2} {d3}")
     entries: list[int] = []
     for _ in range(d1):
         for _ in range(d2):
@@ -176,12 +180,12 @@ def parse_decomposition(text: str) -> Decomposition:
     lines = _Lines(text)
     _header(lines, "decomp")
     field = _field_line(lines)
-    d1, d2, d3 = _keyword_int(lines, "dims", count=3)
-    (r,) = _keyword_int(lines, "terms")
+    dims_no, (d1, d2, d3) = _keyword_int(lines, "dims", count=3)
+    terms_no, (r,) = _keyword_int(lines, "terms")
     if min(d1, d2, d3) < 1:
-        raise ValueError(f"dims must be positive, got {d1} {d2} {d3}")
+        raise ValueError(f"line {dims_no}: dims must be positive, got {d1} {d2} {d3}")
     if r < 0:
-        raise ValueError(f"terms must be non-negative, got {r}")
+        raise ValueError(f"line {terms_no}: terms must be non-negative, got {r}")
     p = field.modulus
     terms = []
     for _ in range(r):
@@ -216,9 +220,9 @@ def serialize_decomposition(dec: Decomposition) -> str:
 def parse_matchings(text: str) -> list[Matching]:
     lines = _Lines(text)
     _header(lines, "matchings")
-    (n,) = _keyword_int(lines, "n")
+    n_no, (n,) = _keyword_int(lines, "n")
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"line {n_no}: n must be at least 1, got {n}")
     out = []
     while lines.pos < len(lines.items):
         no, toks = lines.take("matching line")

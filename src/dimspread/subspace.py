@@ -239,26 +239,34 @@ def enumerate_subspaces(
 # ----------------------------------------------------------------------
 
 
-def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> list[list[int]]:
-    """The RREF rows of a uniform s-dimensional subspace, drawn from an
-    existing RNG stream.
+def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random, accept=None):
+    """A uniform s-dimensional subspace, drawn from an existing RNG stream.
 
     Rejection sampling: each attempt draws an s x n matrix, row by row, all
-    before the rank test; the first attempt of full row rank is
-    canonicalized.  Uniformity follows because every s-dimensional subspace
-    has the same number of ordered bases.  Each entry is the value
-    rng.randrange(p) gives on a `random.Random`, drawn as CPython draws it:
+    before the rank test; the first attempt of full row rank is the draw.
+    Uniformity follows because every s-dimensional subspace has the same
+    number of ordered bases.  Each entry is the value rng.randrange(p) gives
+    on a `random.Random`, drawn as CPython draws it:
     rng.getrandbits(p.bit_length()), redrawn while it is p or more.  The
     values and the RNG state after each draw are those of randrange(p); the
     loop is inline to save randrange's three Python-level calls per entry.
-    The rows are reduced in place and the accepted draw's s rows come back
-    as `_rref_dense` leaves them, lists of residues: the canonical basis,
-    neither validated nor built into a `Subspace` (`sample_subspace` builds
-    one).  At s = 0 the first attempt draws nothing and gives no rows.
+
+    accept is the rank test: it takes an attempt's s rows, lists of
+    residues it may change, and returns the draw, or None when the rows
+    are dependent and the attempt is drawn again.  It must accept exactly
+    the attempts of rank s, or the stream drifts from the protocol.  The
+    default reduces the rows in place and returns them as `_rref_dense`
+    leaves them: the canonical basis, neither validated nor built into a
+    `Subspace` (`sample_subspace` builds one).  At s = 0 the first attempt
+    draws nothing and is accepted.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
     p = field.modulus
+    if accept is None:
+        def accept(rows):
+            rows, rank, _ = _rref_dense(rows, n, p)
+            return rows if rank == s else None
     k = p.bit_length()
     getrandbits = rng.getrandbits
     while True:
@@ -271,9 +279,9 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random) -> lis
                     x = getrandbits(k)
                 row.append(x)
             rows.append(row)
-        rows, rank, _ = _rref_dense(rows, n, p)
-        if rank == s:
-            return rows
+        draw = accept(rows)
+        if draw is not None:
+            return draw
 
 
 def sample_subspace(n: int, s: int, field: FieldSpec, seed: int) -> Subspace:

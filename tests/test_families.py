@@ -31,7 +31,7 @@ from dimspread.families import (
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix, vectors
 from dimspread.subspace import grassmann_count
-from oracles import image_sum_dim, rank_mod_p, replay_draws
+from oracles import image_sum_dim, rank_mod_p, replay_draws, rref_mod_p
 
 F3 = FieldSpec(3)
 
@@ -325,29 +325,43 @@ def test_spreading_sampled_modes():
         verify_spreading(SYM2, SpreadingParams(1, 2), samples=0, seed=1)
 
 
-def count_adds_per_span(monkeypatch) -> list[int]:
-    """Wraps `families.make_row_span`; the list gets one entry per span made,
-    counting that span's `add` calls."""
-    counts: list[int] = []
+def count_adds_per_span(monkeypatch) -> list[list]:
+    """Wraps `families.make_row_span`; the list gets one [draw, adds] entry
+    per span made, where adds counts that span's `add` calls and draw is the
+    number of the `families.sample_with_rng` call the span was made in, or
+    None for a span made outside every draw."""
+    spans: list[list] = []
+    draws = itertools.count()
+    drawing = None
     real = families_module.make_row_span
+    real_sample = families_module.sample_with_rng
 
     def make_row_span(p):
         span = real(p)
-        base, index = type(span), len(counts)
-        counts.append(0)
+        base, entry = type(span), [drawing, 0]
+        spans.append(entry)
 
         class Counted(base):
             __slots__ = ()
 
             def add(self, v):
-                counts[index] += 1
+                entry[1] += 1
                 return base.add(self, v)
 
         span.__class__ = Counted
         return span
 
+    def sample_with_rng(*args):
+        nonlocal drawing
+        drawing = next(draws)
+        try:
+            return real_sample(*args)
+        finally:
+            drawing = None
+
     monkeypatch.setattr(families_module, "make_row_span", make_row_span)
-    return counts
+    monkeypatch.setattr(families_module, "sample_with_rng", sample_with_rng)
+    return spans
 
 
 @pytest.mark.parametrize("p, n, s", [(2, 6, 3), (3, 5, 2), (5, 5, 3)])
@@ -355,16 +369,52 @@ def test_sampled_spreading_adds_s_images_per_draw(monkeypatch, p, n, s):
     # With t = s and an invertible first map, the first map's images of a
     # draw's s basis rows are independent and already reach t: each draw's
     # image sum stops after exactly s adds, whatever the other maps are.
+    # Each attempt of a draw tests its rows on a span of its own, and the
+    # accepted attempt, the last span made in the draw, adds all s rows.
     field = FieldSpec(p)
     rng = random.Random(700 + p)
     first = rand_family(field, n, 1, rng).maps[0]
     while rank_mod_p([first.row(i) for i in range(n)], p) < n:
         first = rand_family(field, n, 1, rng).maps[0]
     fam = MapFamily(field, n, (first,) + rand_family(field, n, 2, rng).maps)
-    counts = count_adds_per_span(monkeypatch)
+    spans = count_adds_per_span(monkeypatch)
     res = verify_spreading(fam, SpreadingParams(s, s), samples=25, seed=p)
     assert res.verified and not res.exhaustive
-    assert counts == [s] * 25
+    assert [adds for draw, adds in spans if draw is None] == [s] * 25
+    accepted = {draw: adds for draw, adds in spans if draw is not None}
+    assert accepted == dict.fromkeys(range(25), s)
+
+
+@pytest.mark.parametrize("p, shapes", [
+    (2, [(1, 1), (3, 3), (5, 5), (6, 6), (3, 0), (10, 5), (10, 2)]),
+    (3, [(2, 2), (4, 4), (5, 2), (4, 0), (10, 5), (10, 2)]),
+    (5, [(1, 1), (3, 3), (4, 2), (3, 0), (10, 5), (10, 2)]),
+    (7, [(1, 1), (3, 3), (4, 2), (3, 0), (10, 5), (10, 2)]),
+    (13, [(2, 2), (4, 1), (3, 0), (10, 5), (10, 2)]),
+    (257, [(2, 2), (3, 1), (2, 0), (10, 5), (10, 2)]),
+    (65521, [(2, 2), (3, 1), (2, 0), (10, 5), (10, 2)]),
+])
+def test_packed_acceptance_matches_the_default_and_the_replay(p, shapes):
+    # Sampled scans test each attempt's independence on packed rows in place
+    # of the sampler's default elimination.  Both tests and the plain-int
+    # replay must accept the same attempts: the same RNG state after every
+    # draw, and packed rows that reduce to the replay's canonical basis.
+    # Over GF(2) about 0.7 of the 5 x 5 and 6 x 6 attempts are singular, so
+    # a test that accepts a dependent attempt drifts at once.
+    field = FieldSpec(p)
+    accept = families_module._independent(p)
+    unpack = vectors(p).unpack
+    for n, s in shapes:
+        for seed in range(3):
+            packed_rng, default_rng, ref = (random.Random(seed) for _ in range(3))
+            for _ in range(12):
+                (rows,) = replay_draws(n, s, p, ref, 1)
+                drawn = subspace_module.sample_with_rng(n, s, field, packed_rng, accept)
+                canonical = subspace_module.sample_with_rng(n, s, field, default_rng)
+                assert tuple(map(tuple, canonical)) == rows
+                assert len(drawn) == s
+                assert tuple(rref_mod_p([unpack(v, n) for v in drawn], p)) == rows
+                assert packed_rng.getstate() == default_rng.getstate() == ref.getstate()
 
 
 def test_sampled_refutation_reports_exact_achieved():

@@ -127,6 +127,30 @@ def test_parsers_take_only_ascii_digits(tok):
             parse(text)
 
 
+@pytest.mark.parametrize("parse, text, want", [
+    (parse_map_family, "mapfamily 1\nfield 2\nn 0\ncount 1\n",
+     "line 3: n must be at least 1, got 0"),
+    (parse_matchings, "# none\nmatchings 1\n\nn -1\nmatching\n",
+     "line 4: n must be at least 1, got -1"),
+    (parse_map_family, "mapfamily 1\nfield 2\nn 1\n# empty\ncount 0\n",
+     "line 5: count must be at least 1, got 0"),
+    (parse_tensor, "tensor3 1\nfield 3\ndims 1 1 -2\n",
+     "line 3: dims must be positive, got 1 1 -2"),
+    (parse_decomposition, "decomp 1\nfield 2\n\ndims 0 1 1\nterms 0\n",
+     "line 4: dims must be positive, got 0 1 1"),
+    (parse_decomposition, "decomp 1\nfield 2\ndims 1 1 1\nterms -1\n",
+     "line 4: terms must be non-negative, got -1"),
+    (parse_map_family, "mapfamily 1\nfield 4\nn 1\ncount 1\n1\n",
+     "line 2: modulus 4 is not prime"),
+    (parse_tensor, "tensor3 1\n# big\nfield 65537\ndims 1 1 1\n0\n",
+     "line 3: modulus 65537 exceeds the limit 65536"),
+], ids=["maps-n", "matchings-n", "count", "tensor-dims", "decomp-dims", "terms", "not-prime",
+        "too-large"])
+def test_header_range_errors_name_their_line(parse, text, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        parse(text)
+
+
 def rand_matrix(field, n, rng):
     p = field.modulus
     return Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
