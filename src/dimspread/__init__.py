@@ -48,11 +48,9 @@ from .families import (
 from .gfp import GF2, FieldSpec, Matrix, kernel_basis, rref, solve
 from .subspace import (
     Subspace,
-    annihilator,
     apply_map,
     enumerate_subspaces,
     grassmann_count,
-    intersect,
     kernel,
     sample_subspace,
     span_of,
@@ -75,7 +73,7 @@ __all__ = [
     # fields and matrices
     "FieldSpec", "GF2", "Matrix", "rref", "kernel_basis", "solve",
     # subspaces
-    "Subspace", "span_of", "apply_map", "intersect", "annihilator", "kernel",
+    "Subspace", "span_of", "apply_map", "kernel",
     "grassmann_count", "enumerate_subspaces", "sample_subspace",
     # families
     "MapFamily", "SpreadingParams", "SpreadingResult", "ExpansionReport",

@@ -142,17 +142,15 @@ def refute_spreading(
             f"dimension {n}: refutation needs fewer than {bound}"
         )
 
-    rank_ones = dec.rank_one_matrices()
     head = min(n - params.s, r)
     s_indices = tuple(range(1, head + 1))
-    tail = range(head, r)
+    tail = dec.terms[head:]
 
-    # no head terms leave the whole space as kernel; no tail terms span zero
-    head_rows = [rank_ones[i].row(j) for i in range(head) for j in range(n)]
-    k_s = kernel(Matrix.from_rows(fam.field, head_rows, cols=n))
-    # row j of a term's transpose is its column j
-    image_rows = [rank_ones[i].entries[j::n] for i in tail for j in range(n)]
-    i_tail = span_of(Matrix.from_rows(fam.field, image_rows, cols=n))
+    # The matrix g h^T of a term has kernel h^⊥ and image <g>, or is zero
+    # when g or h is; no head terms leave the whole space as kernel.
+    k_s = kernel(Matrix.from_rows(
+        fam.field, [t.h for t in dec.terms[:head] if any(t.g)], cols=n))
+    i_tail = span_of(Matrix.from_rows(fam.field, [t.g for t in tail if any(t.h)], cols=n))
 
     if len(tail) != max(0, r - (n - params.s)):
         raise TraceInvariantViolation("head/tail split does not add up")
@@ -164,9 +162,7 @@ def refute_spreading(
         raise TraceInvariantViolation(
             f"tail image span has dimension {i_tail.dim} > {r - head} terms"
         )
-    total = Subspace.zero(fam.field, n)
-    for m in fam.maps:
-        total = total + apply_map(m, k_s)
+    total = _image_sum(fam, k_s)
     if not total <= i_tail:
         raise TraceInvariantViolation("kernel images escape the tail image span")
     achieved = total.dim
@@ -188,7 +184,12 @@ def check_trace(fam: MapFamily, params: SpreadingParams, trace: RefutationTrace)
         return False
     if trace.violating.dim < params.s:
         return False
-    reached = Subspace.zero(fam.field, fam.n)
+    return _image_sum(fam, trace.violating).dim < params.t
+
+
+def _image_sum(fam: MapFamily, sub: Subspace) -> Subspace:
+    """A_1 sub + ... + A_D sub, by subspace arithmetic."""
+    total = Subspace.zero(fam.field, fam.n)
     for m in fam.maps:
-        reached = reached + apply_map(m, trace.violating)
-    return reached.dim < params.t
+        total = total + apply_map(m, sub)
+    return total

@@ -64,7 +64,7 @@ from .gfp import FieldSpec, Matrix
 from .subspace import DEFAULT_ENUMERATION_CAP, Subspace
 from .tensor import DEFAULT_POOL_CAP, DEFAULT_STEP_CAP, pool_size, tensor_rank
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["RunConfig", "build_parser", "main", "entry"]
 
 # Most matrix entries `build-maps` writes for a generated family: far above
 # any family a scan can take, and checked before anything is built.

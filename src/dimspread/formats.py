@@ -235,7 +235,10 @@ def parse_matchings(text: str) -> list[Matching]:
                 raise ValueError(f"line {no}: pair {tok!r} is not of the form i:j")
             pairs.append((_int_token(parts[0], "pair", no),
                           _int_token(parts[1], "pair", no)))
-        out.append(Matching(n, tuple(pairs)))
+        try:
+            out.append(Matching(n, tuple(pairs)))
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
     if not out:
         raise ValueError("no matchings found")
     return out

@@ -145,9 +145,6 @@ class Matrix:
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -158,16 +155,6 @@ class Matrix:
             self.cols,
             self.rows,
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        p = self.field.modulus
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple((a + b) % p for a, b in zip(self.entries, other.entries)),
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -188,20 +175,6 @@ class Matrix:
                             acc[j] = (acc[j] + c * x) % p
             out.extend(acc)
         return Matrix(self.field, self.rows, other.cols, tuple(out))
-
-    def scale(self, c: int) -> "Matrix":
-        p = self.field.modulus
-        c %= p
-        return Matrix(self.field, self.rows, self.cols, tuple((c * x) % p for x in self.entries))
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValueError("mixed fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shapes do not match")
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
 # ----------------------------------------------------------------------

@@ -23,13 +23,13 @@ __all__ = [
     "Subspace",
     "span_of",
     "apply_map",
-    "intersect",
     "kernel",
     "grassmann_count",
     "subspace_cells",
     "cell_subspaces",
     "enumerate_subspaces",
     "sample_subspace",
+    "sample_with_rng",
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -73,20 +73,10 @@ class Subspace:
         )
         return span_of(stacked)
 
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
-
     def __le__(self, other: "Subspace") -> bool:
         """Containment: self is a subspace of other.  Canonical bases make
         it an equality test."""
         return self + other == other
-
-    def __contains__(self, vector) -> bool:
-        vec = tuple(x % self.field.modulus for x in vector)
-        if len(vec) != self.ambient:
-            raise ValueError("vector length does not match the ambient dimension")
-        stacked = Matrix(self.field, self.dim + 1, self.ambient, self.basis.entries + vec)
-        return span_of(stacked) == self
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient != other.ambient:
@@ -136,25 +126,6 @@ def apply_map(m: Matrix, u: Subspace) -> Subspace:
         raise ValueError("map domain does not match the subspace's ambient space")
     # row i of basis @ m^T is m applied to basis vector i
     return span_of(u.basis @ m.transpose())
-
-
-def annihilator(u: Subspace) -> Subspace:
-    """All w with <v, w> = 0 for every v in u (standard bilinear form)."""
-    return Subspace(u.field, u.ambient, kernel_basis(u.basis))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed as the kernel of the stacked annihilators."""
-    a._check_compatible(b)
-    ann_a = annihilator(a)
-    ann_b = annihilator(b)
-    stacked = Matrix(
-        a.field,
-        ann_a.dim + ann_b.dim,
-        a.ambient,
-        ann_a.basis.entries + ann_b.basis.entries,
-    )
-    return Subspace(a.field, a.ambient, kernel_basis(stacked))
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -82,18 +82,6 @@ class Tensor3:
     def slices(self) -> tuple[Matrix, ...]:
         return tuple(self.slice(i) for i in range(self.d1))
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.field != other.field or self.dims != other.dims:
-            raise ValueError("tensor shapes or fields do not match")
-        p = self.field.modulus
-        return Tensor3(
-            self.field, self.d1, self.d2, self.d3,
-            tuple((a + b) % p for a, b in zip(self.entries, other.entries)),
-        )
-
 
 def slice_tensor(slices: Sequence[Matrix]) -> Tensor3:
     """Stack matrices into a tensor whose i-th slice is slices[i]."""
@@ -144,16 +132,6 @@ class Decomposition:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def rank_one_matrices(self) -> tuple[Matrix, ...]:
-        """The g h^T matrix of each term (f coefficients not applied)."""
-        p = self.field.modulus
-        d2, d3 = self.dims[1], self.dims[2]
-        return tuple(
-            Matrix(self.field, d2, d3,
-                   tuple((gj * hk) % p for gj in t.g for hk in t.h))
-            for t in self.terms
-        )
 
 
 def eval_decomposition(dec: Decomposition) -> Tensor3:

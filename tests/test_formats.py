@@ -111,6 +111,18 @@ def test_parse_matchings():
         parse_matchings("matchings 1\nn 2\npairs 1:1\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("matchings 1\nn 2\nmatching 1:3\n", "line 3: pair (1, 3) is out of range for n=2"),
+    ("matchings 1\nn 3\nmatching 1:1\n# twice\nmatching 1:2 2:2\n",
+     "line 5: right index 2 is matched twice"),
+    ("matchings 1\n\nn 3\nmatching 1:2 2:1\n",
+     "line 4: pairs (1, 2) and (2, 1) violate monotonicity"),
+], ids=["range", "twice", "monotone"])
+def test_matching_errors_name_their_line(text, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        parse_matchings(text)
+
+
 @pytest.mark.parametrize("tok", ["1_0", "+1", "\u0663"], ids=["underscore", "plus", "arabic-3"])
 def test_parsers_take_only_ascii_digits(tok):
     # int() alone would read these as 10, 1 and 3

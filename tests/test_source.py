@@ -1,14 +1,18 @@
 """Source rules: README promises no floats, so none may enter `src/dimspread`;
 the exact subspace layer stays off the packed vectors the scans use, so the
 invariants it checks do not share code with them; the sampler's draw
-protocol rests on the public `random.Random` API alone; and the CLI writes
-stdout from `main` alone."""
+protocol rests on the public `random.Random` API alone; the CLI writes
+stdout from `main` alone; and each `__all__` lists what its module defines."""
 
 import ast
+import importlib
+import inspect
 import random
 from pathlib import Path
 
 import pytest
+
+import dimspread
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dimspread"
 
@@ -147,3 +151,22 @@ def test_cli_writes_stdout_only_in_main():
     # one place writes stdout, after the subcommand has finished, so a run
     # that fails part way prints no partial report
     assert stdout_uses((SRC / "cli.py").read_text()) == []
+
+
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_lists_its_public_definitions(name):
+    module = importlib.import_module(f"dimspread.{name}")
+    assert all(hasattr(module, n) for n in module.__all__)
+    defined = {n for n, obj in vars(module).items()
+               if not n.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == module.__name__}
+    assert sorted(defined - set(module.__all__)) == []
+
+
+def test_package_all_reexports_module_names():
+    listed = {n for name in MODULES for n in importlib.import_module(f"dimspread.{name}").__all__}
+    assert all(hasattr(dimspread, n) for n in dimspread.__all__)
+    assert sorted(set(dimspread.__all__) - listed - {"__version__"}) == []
