@@ -32,6 +32,19 @@ Gaussian binomial.  A `Subspace` is built only for the counterexample or
 witness reported, which is the same canonical first one a
 subspace-by-subspace walk finds.
 
+Each dimension is scanned with a floor, a least image-sum dim proven before
+its scan starts, and once its need is at or below the floor the rest of
+the dimension is decided: one block per Schubert cell, with nothing built.
+The floor is the larger of two bounds.  A family that holds the identity
+has U inside the sum of the images of U, so every dim-d image sum has dim
+>= d, and a spreading threshold t <= s is settled with no scan.  A dim-d
+subspace contains a dim-(d-1) one, whose image sum lies in its own, so
+f(d) >= f(d-1) for the least image-sum dim f; f(d-1) is proven once the
+scan of dim d-1 has covered every subspace, and a measuring scan stops
+dim d when its running minimum reaches that bound.  The minimum only
+moves on a strictly lower value, so the witness stays the first subspace
+that attains it.  Sampled scans use no floor.
+
 Sampled scans draw through `sample_with_rng` with a rank test of their
 own (`_independent`): an attempt is packed and its rows added to one row
 span, and it is full rank when every add grows the span.  The draw stays
@@ -359,7 +372,8 @@ def _image_table(image, values) -> list:
     return list(map(image, values))
 
 
-def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], nominal: int):
+def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], nominal: int,
+                    floor: int):
     """Yields items (d, packed rows, a, count) that cover every dim-d
     subspace once, one Schubert cell at a time in canonical order, free
     entries in lexicographic order.
@@ -387,9 +401,17 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
     is exactly one short of the need, the next row reaches it iff one of
     its images lies outside that span, so the images are only tested with
     `contains`, up to the first one outside, and no span is built.  The
-    caller may lower need[d] between items.  The counts, summed per prefix
-    or block, must come to `nominal`, the dimension's Gaussian binomial;
-    RuntimeError otherwise.
+    caller may lower need[d] between items.
+
+    `floor` is a proven lower bound on every dim-d image sum.  Once need[d]
+    is at or below it, every subspace not yet covered reaches the need: the
+    odometer's next position starts one block for the rest of its cell, and
+    each later cell is one block, all with a = floor, and nothing more is
+    built.  The counts, summed per prefix, block or cell, must come to
+    `nominal`, the dimension's Gaussian binomial; RuntimeError otherwise.
+    Returns the least image-sum dim the scan has proven for the dimension:
+    need[d] at the end, or the least a yielded below the need at the time,
+    if lower.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
@@ -401,7 +423,13 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
     empty = make_row_span(p)
     last = d - 1
     covered = 0
+    least = n
     for pivots, free in subspace_cells(n, d):
+        if need[d] <= floor:
+            count = p ** sum(map(len, free))
+            covered += count
+            yield d, tuple(units[c] for c in pivots), floor, count
+            continue
         # Only a one-row cell splits its row, since there a whole-row table
         # is as large as the cell.  At d >= 2 row 0 has at least as many free
         # entries as the last row, so `lasts` and the D map tables hold at
@@ -424,6 +452,11 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
             # rows 0..k-1 are unchanged since spans[k] was built, and every
             # index after k is 0
             target = need[d]
+            if target <= floor:
+                count = below[0] - sum(i * below[r + 1] for r, i in enumerate(idx))
+                covered += count
+                yield d, tuple(cur), floor, count
+                break
             span = spans[k]
             a = span.dim
             while a < target and k < last:
@@ -475,6 +508,8 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
                                 if grown.add(table[x]) is not None and grown.dim >= target:
                                     break
                             a = grown.dim
+                        if a < least:
+                            least = a
                     yield d, rows + (row,), a, 1
                     target = need[d]
             # next value of row k, carrying into earlier rows
@@ -491,6 +526,7 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
                 break
     if covered != nominal:
         raise RuntimeError(f"scan of dim {d} covered {covered} subspaces, not {nominal}")
+    return min(least, need[d])
 
 
 # ----------------------------------------------------------------------
@@ -514,15 +550,17 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     before any work, then walks each Grassmannian cell by cell in canonical
     order (`_grassmann_scan`, which checks its counts against the Gaussian
     binomials computed for the budget), so the first subspace a caller picks
-    is the canonical first.  Sampled mode checks samples * len(need) draws
-    against the same budget, then draws `samples` subspaces per dimension
-    from one RNG seeded with `seed` (through the module name
-    `sample_with_rng`, once per draw, with `_independent` as its rank test),
-    adds the images of each draw's packed rows until the span reaches
-    need[d], and yields each draw with count 1.  Sampled rows are as drawn,
-    not canonical; no draw is reduced, validated or built into a `Subspace`
-    here, and the caller builds one, by `_subspace`, only for the draw it
-    reports.
+    is the canonical first.  Each dim is scanned with its proven floor: d
+    when the family holds the identity, and the least value the scan of
+    d - 1 proved when that scan came just before it.  Sampled mode checks
+    samples * len(need) draws against the same budget, then draws `samples`
+    subspaces per dimension from one RNG seeded with `seed` (through the
+    module name `sample_with_rng`, once per draw, with `_independent` as its
+    rank test), adds the images of each draw's packed rows until the span
+    reaches need[d], and yields each draw with count 1.  Sampled rows are as
+    drawn, not canonical; no draw is reduced, validated or built into a
+    `Subspace` here, and the caller builds one, by `_subspace`, only for the
+    draw it reports.
     """
     p = fam.field.modulus
     if samples is None:
@@ -539,8 +577,13 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     vec = vectors(p)
     images = _map_images(fam, vec)
     if samples is None:
+        # the identity's row-major entries: a 1, then n zeros before each next 1
+        eye = (1,) + ((0,) * fam.n + (1,)) * (fam.n - 1)
+        identity = any(m.entries == eye for m in fam.maps)
+        proven = {}
         for d in need:
-            yield from _grassmann_scan(fam, images, d, need, nominal[d])
+            floor = max(d if identity else 0, proven.get(d - 1, 0))
+            proven[d] = yield from _grassmann_scan(fam, images, d, need, nominal[d], floor)
         return
     rng = random.Random(seed)
     accept = _independent(p)
@@ -608,7 +651,9 @@ def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int 
     Once a dimension has a minimum, a subspace only needs to reach it to be
     ruled out, so the scan counts no further, and a block of subspaces that
     all reach it is ruled out whole.  A dimension's first item seeds the
-    minimum with the canonical first subspace, block or not.
+    minimum with the canonical first subspace, block or not.  Once the
+    minimum reaches the dimension's proven floor, the scan yields the rest
+    as blocks at the floor, which leave it as it is.
     """
     need = {d: fam.n for d in dims}
     best: dict[int, tuple[int, tuple]] = {}

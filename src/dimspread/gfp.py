@@ -79,9 +79,6 @@ class FieldSpec:
             raise ZeroDivisionError("zero has no inverse")
         return pow(a, self.modulus - 2, self.modulus)
 
-    def __str__(self) -> str:
-        return f"GF({self.modulus})"
-
 
 GF2 = FieldSpec(2)
 

@@ -13,7 +13,7 @@ import dimspread
 import dimspread.cli as cli_module
 from dimspread.cli import RunConfig, main
 from dimspread.errors import BudgetExceeded
-from dimspread.families import MapFamily, symmetrize, words
+from dimspread.families import MapFamily, dyadic_matchings, matching_maps, symmetrize, words
 from dimspread.formats import (
     parse_decomposition,
     parse_map_family,
@@ -268,6 +268,17 @@ def test_pipeline_shift8_fits_the_word_budget(run, tmp_path):
         assert line in out.splitlines()
     code, _, err = run("pipeline", path, "--epsilon", "1/2", "--word-cap", "2702")
     assert code == 3 and "needs 2703, cap 2702" in err
+
+
+def test_budget_fires_before_a_settled_scan(run, tmp_path):
+    # The family holds the identity, so s = t = 4 holds without a scan, but
+    # the 11,811 dim-4 subspaces of GF(2)^7 are still budgeted first.
+    src = family_file(tmp_path, symmetrize(matching_maps(dyadic_matchings(7), GF2)))
+    argv = ("verify-spreading", src, "--s", "4", "--t", "4", "--enumeration-cap")
+    assert run(*argv, "11810") == (
+        3, "", "budget exceeded in spreading verification: needs 11811, cap 11810\n")
+    code, out, err = run(*argv, "11811")
+    assert (code, err) == (0, "") and "verdict: holds" in out.splitlines()
 
 
 def test_verify_spreading_holds_frozen(run, tmp_path):

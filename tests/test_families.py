@@ -1,5 +1,6 @@
 """Map families: symmetrize, word powers, matchings, spreading/expansion checks."""
 
+import collections
 import functools
 import itertools
 import math
@@ -696,18 +697,22 @@ def map_columns(fam):
 
 
 @pytest.mark.parametrize("kind, t, reached", [
-    (shift_matchings, 10, 8), (dyadic_matchings, 4, 5),
+    (shift_matchings, 10, 14), (dyadic_matchings, 4, 8),
 ], ids=["shift-122-words", "dyadic-128-words"])
 def test_image_tables_are_built_only_for_the_maps_reached(kind, t, reached, monkeypatch):
-    # Work counter: certify at s = t = 4 on a word family of n=7 stops every
-    # image sum at dim 4, which the first few maps reach.  Images are taken
+    # Work counter: certify at (4, 5) on a word family of n=7 stops every
+    # image sum at dim 5, which the first few maps reach.  Images are taken
     # map by map in family order, so the maps with tables are a prefix of the
-    # family, each built once for the whole scan.
+    # family, each built once for the whole scan.  At s = t = 4 the family's
+    # identity word settles the scan before any image is taken.
     fam = words(symmetrize(matching_maps(kind(7), GF2)), t)
     built = count_image_tables(monkeypatch)
-    certify_lower_bound(fam, SpreadingParams(4, 4))
+    assert certify_lower_bound(fam, SpreadingParams(4, 5)).bound == 8
     assert built == map_columns(fam)[:reached]
-    assert reached < len(fam.maps) // 10
+    assert reached < len(fam.maps) // 8
+    built.clear()
+    assert certify_lower_bound(fam, SpreadingParams(4, 4)).bound == 7
+    assert built == []
 
 
 def test_sampled_image_tables_are_built_only_for_the_maps_reached(monkeypatch):
@@ -754,9 +759,70 @@ def test_scan_checks_its_counts():
     images = families_module._map_images(fam, vectors(p))
     nominal = grassmann_count(n, d, p)
     assert sum(item[3] for item in families_module._grassmann_scan(
-        fam, images, d, {d: n}, nominal)) == nominal
+        fam, images, d, {d: n}, nominal, 0)) == nominal
     with pytest.raises(RuntimeError, match="covered 11811 subspaces, not 11812"):
-        list(families_module._grassmann_scan(fam, images, d, {d: n}, nominal + 1))
+        list(families_module._grassmann_scan(fam, images, d, {d: n}, nominal + 1, 0))
+
+
+def count_items(monkeypatch):
+    """Items the scans yield, per dimension, through families._image_sums."""
+    items, real = collections.Counter(), families_module._image_sums
+
+    def counted(*args):
+        for item in real(*args):
+            items[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(families_module, "_image_sums", counted)
+    return items
+
+
+def test_scan_stops_at_a_proven_minimum(monkeypatch):
+    # Work counter: on symmetrized dyadic n=7 the scan of dim 2 proves
+    # f(2) = 6, so dim 3 stops once its running minimum reaches 6, at item
+    # 212 of the 1,039 a full walk yields.  The rest of that leaf group, the
+    # rest of its cell and each later cell make 41 more items.  Dim 4 has
+    # f(4) = 7 > f(3) and is walked in full; f(4) = n then settles dims 5
+    # to 7 before their scans, one block per Schubert cell.
+    fam = symmetrize(matching_maps(dyadic_matchings(7), GF2))
+    items = count_items(monkeypatch)
+    assert measure_expansion(fam).per_dimension == ((1, 4), (2, 6), (3, 6))
+    assert items == {1: 127, 2: 731, 3: 253}
+    items.clear()
+    assert spreading_profile(fam) == ((1, 4), (2, 6), (3, 6), (4, 7), (5, 7), (6, 7), (7, 7))
+    assert items == {1: 127, 2: 731, 3: 253, 4: 1001, 5: 21, 6: 7, 7: 1}
+
+
+def test_identity_settles_a_dimension_without_a_scan(monkeypatch):
+    # Work counter: with the identity in the family every dim-4 subspace
+    # reaches 4, so each t <= 4 is decided before any image is taken: one
+    # block per Schubert cell of Gr(4, 7), 35 in all.
+    fam = symmetrize(matching_maps(dyadic_matchings(7), GF2))
+    items = count_items(monkeypatch)
+    for t in range(5):
+        assert verify_spreading(fam, SpreadingParams(4, t)).verified
+    assert items == {4: 5 * math.comb(7, 4)}
+
+
+def test_each_dimension_is_budgeted_once(monkeypatch):
+    # The floors settle or stop dimensions, but each scanned dimension's
+    # Gaussian binomial is still computed once, for the budget, before any work.
+    fam = symmetrize(matching_maps(dyadic_matchings(6), GF2))
+    dims, real = [], families_module.grassmann_count
+
+    def counted(n, d, p):
+        dims.append(d)
+        return real(n, d, p)
+
+    monkeypatch.setattr(families_module, "grassmann_count", counted)
+    measure_expansion(fam)
+    assert dims == [1, 2, 3]
+    dims.clear()
+    verify_spreading(fam, SpreadingParams(3, 3))
+    assert dims == [3]
+    dims.clear()
+    spreading_profile(fam)
+    assert dims == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("fam, need, items, subspaces", [

@@ -182,6 +182,16 @@ def test_large_expansion_matches_slow_route(fam):
 
 
 @over_families
+def test_symmetrized_scans_match_slow_route(fam):
+    # symmetrize adds the identity, so every dimension has the floor d and
+    # thresholds at or below it are settled without a scan; the profile and
+    # measure stop a dimension once its minimum reaches the one below
+    sym = symmetrize(fam)
+    check_scan_order(sym)
+    check_exhaustive(sym)
+
+
+@over_families
 def test_sampled_scans_replay_by_hand(fam):
     n = fam.n
     seed = 1000 * fam.field.modulus + n
