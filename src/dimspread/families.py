@@ -372,8 +372,8 @@ def _image_table(image, values) -> list:
     return list(map(image, values))
 
 
-def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], nominal: int,
-                    floor: int):
+def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dict[int, int],
+                    nominal: int, floor: int):
     """Yields items (d, packed rows, a, count) that cover every dim-d
     subspace once, one Schubert cell at a time in canonical order, free
     entries in lexicographic order.
@@ -388,9 +388,10 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
 
     The rows are walked as a tree by an odometer (`idx`, `cur`) over the
     values of each prefix row, which `vec.fill` lists once per cell from
-    the row's pivot unit (`choices`).  In each cell the prefix is the free
-    values of rows 0..d-2, and at d = 1 the leading free values of the row
-    when it has more than a lookup table covers.  spans[r] is the span of
+    the row's pivot unit (`choices`; units[c] is the packed unit vector at
+    coordinate c).  In each cell the prefix is the free values of rows
+    0..d-2, and at d = 1 the leading free values of the row when it has
+    more than a lookup table covers.  spans[r] is the span of
     the images of rows 0..r-1; after each step it is rebuilt from the row
     whose value changed, and no span grows past need[d].  images[j] is map
     j's image function (`_map_images`).  An undecided subspace then adds
@@ -414,12 +415,10 @@ def _grassmann_scan(fam: MapFamily, images: list, d: int, need: dict[int, int], 
     if lower.
     """
     p, n = fam.field.modulus, fam.n
-    vec = vectors(p)
-    pack, fill = vec.pack, vec.fill
+    fill = vectors(p).fill
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
-    units = [pack(tuple(int(j == c) for j in range(n))) for c in range(n)]
     empty = make_row_span(p)
     last = d - 1
     covered = 0
@@ -580,10 +579,12 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
         # the identity's row-major entries: a 1, then n zeros before each next 1
         eye = (1,) + ((0,) * fam.n + (1,)) * (fam.n - 1)
         identity = any(m.entries == eye for m in fam.maps)
+        units = [vec.pack((0,) * c + (1,)) for c in range(fam.n)]
         proven = {}
         for d in need:
             floor = max(d if identity else 0, proven.get(d - 1, 0))
-            proven[d] = yield from _grassmann_scan(fam, images, d, need, nominal[d], floor)
+            proven[d] = yield from _grassmann_scan(fam, images, units, d, need, nominal[d],
+                                                   floor)
         return
     rng = random.Random(seed)
     accept = _independent(p)

@@ -485,6 +485,18 @@ class Gf2RowSpan:
         """
         return self.reduce(v)
 
+    def line_keys(self, pos: int, residues) -> list:
+        """`line_key` of each vector, given its residue modulo the span
+        without row pos; pos is the token of the last add.
+
+        Row pos is zero at every other row's leading bit, so reducing by it
+        alone leaves each residue zero at every leading bit, and the one
+        such residue is the one `reduce` returns.
+        """
+        x = self.rows[pos]
+        top = 1 << (x.bit_length() - 1)
+        return [v ^ x if v & top else v for v in residues]
+
     def add(self, v: int):
         v = self.reduce(v)
         if v == 0:
@@ -563,6 +575,25 @@ class ModRowSpan:
         """
         v = self.reduce(v)
         return self._lead(v)[1] if v else 0
+
+    def line_keys(self, pos: int, residues) -> list:
+        """`line_key` of each vector, given its residue modulo the span
+        without row pos, as `reduce` returns it; pos is the token of the
+        last add.
+
+        Row pos is zero at every other row's lead, so reducing by it alone
+        leaves each residue zero at every lead, and the one such residue is
+        the one `reduce` returns.
+        """
+        lead, x = self.rows[pos]
+        p, mask, reduce = self.p, self.lanes.mask, self.lanes.reduce
+        keys = []
+        for v in residues:
+            c = (v >> lead) & mask
+            if c:
+                v = reduce(v + (p - c) * x)
+            keys.append(self._lead(v)[1] if v else 0)
+        return keys
 
     def add(self, v):
         v = self.reduce(v)

@@ -139,9 +139,14 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def grassmann_count(n: int, s: int, p: int) -> int:
-    """Number of s-dimensional subspaces of GF(p)^n (Gaussian binomial)."""
+    """Number of s-dimensional subspaces of GF(p)^n (Gaussian binomial).
+
+    Computed as [n, min(s, n - s)], which is equal (a subspace and its
+    annihilator), so the product has at most n / 2 factors.
+    """
     if not 0 <= s <= n:
         return 0
+    s = min(s, n - s)
     num = 1
     den = 1
     for i in range(s):

@@ -10,13 +10,14 @@ the span of the chosen matrices and the slices is full (dimension r), the
 rest of a branch is a basis completion in a linear matroid, which one
 greedy pass settles in place of a walk over its combinations.  The
 candidates of that pass are found by lookup: a node one dimension short
-reduces the pool once and groups it by the line of each residue.
+groups the pool by the line of each residue, keyed from its parent's
+residues by one row, and walks only the picks that can still complete.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -209,15 +210,27 @@ def min_spanning_rank_ones(
     the witness is unchanged.
 
     The pass needs the pool indices inside the joint span.  A node whose
-    joint span J has dimension r - 1 reduces each later pool vector once
-    modulo J and groups the indices by the line of the residue (`line_key`:
-    the residue itself over GF(2), scaled to a unit first entry over odd p).
-    A pick v outside J makes J + <v> full, and w lies in it exactly when
-    w's residue is zero or on v's line; so the pass walks the indices after
-    v with key 0 or key(v), merged in index order, and makes no membership
-    test.  Picks with key 0 leave J unchanged and share the node's table.
+    joint span J has dimension r - 1 groups the later indices by the line
+    of their residue modulo J (`line_key`: the residue itself over GF(2),
+    scaled to a unit first entry over odd p).  A pick v outside J makes
+    J + <v> full, and w lies in it exactly when w's residue is zero or on
+    v's line; so the pass walks the indices after v with key 0 or key(v),
+    merged in index order, and makes no membership test.  Picks with key 0
+    leave J unchanged and share the node's table.  The keys come from the
+    parent: a node at dimension r - 2 reduces its pool once, and a pick that
+    raises J to r - 1 inserts one row, by which alone `line_keys` reduces
+    those residues.
+
+    No set of pool vectors inside J spans J, since r - 1 of them would span
+    the slices and the search at r - 1 would have returned them.  So a
+    completion after a pick v outside J holds a second vector outside J,
+    which lies on v's line: a pick that is the last index of its line
+    cannot complete, and the walk skips it.  It makes no add, so it counts
+    no step, and the first completion in index order is unchanged.
+
     Every add to the span of the chosen matrices counts as one step against
-    step_cap, in the order the walk over combinations would make them.
+    step_cap, in the order the walk over combinations would make them, less
+    the adds of the skipped picks and of the completions they would start.
 
     Returns (r, witness matrices), or None once the search has certified
     that the rank exceeds r_max.
@@ -248,11 +261,11 @@ def min_spanning_rank_ones(
     pool_n = pool_size(p, d2, d3)
     if pool_n > pool_cap:
         raise BudgetExceeded("rank-one candidate pool", pool_n, pool_cap)
-    reps_h = _proj_reps(p, d3)
-    pool_vecs = [
-        pack(tuple((gj * hk) % p for gj in g for hk in h))
-        for g in _proj_reps(p, d2) for h in reps_h
-    ]
+    # g h^T is the image of g under the map whose row j is h placed in row j
+    # of a d2 x d3 matrix: one image function per h class.
+    outers = [vec.images([pack((0,) * (j * d3) + h) for j in range(d2)])
+              for h in _proj_reps(p, d3)]
+    pool_vecs = [outer(g) for g in map(pack, _proj_reps(p, d2)) for outer in outers]
 
     steps = 0
 
@@ -267,8 +280,7 @@ def min_spanning_rank_ones(
             # remaining pool indices inside it, ascending: the remaining picks
             # are a basis completion of cur among them, and the greedy pass by
             # index finds the first.  A pick remains: from `attempt` none is
-            # made, and from `dfs` r - 1 earlier picks inside joint (dim r - 1)
-            # would span the slices, which attempt(r - 1) would have returned.
+            # made, and from `close` depth <= r - 2 before its pick.
             nonlocal steps
             need = r - len(chosen)
             toks = []
@@ -291,33 +303,70 @@ def min_spanning_rank_ones(
             del chosen[len(chosen) - len(toks):]
             return False
 
-        def residues(start: int):
-            # joint.dim == r - 1: a pick i raises it to r exactly when its key
-            # is nonzero, and then a later index j lies in the new joint span
-            # exactly when key j is 0 or equals key i.
-            keys = [0] * start + [joint.line_key(v) for v in pool_vecs[start:]]
+        def table(start: int, keys: list) -> tuple:
+            # joint.dim == r - 1 and keys[j - start], for j >= start, is pool
+            # j's line key modulo joint.  A pick i raises joint to r exactly
+            # when its key is nonzero, and then a later index j lies in the new
+            # joint span exactly when key j is 0 or equals key i.  `walk` lists
+            # the indices that can start a completion (see `close`): key 0, or
+            # a later index on the same line; `lines` holds each line of two
+            # or more indices.
+            idx = range(start, pool_n)
+            ends = dict(zip(keys, idx))  # the last index of each key
+            walk = [j for j, k in zip(idx, keys) if not k or ends[k] != j]
             zeros: list[int] = []
             lines: dict = {}
-            for j in range(start, pool_n):
-                k = keys[j]
+            for j in walk:
+                k = keys[j - start]
                 if k:
                     lines.setdefault(k, []).append(j)
                 else:
                     zeros.append(j)
-            return keys, zeros, lines
+            for k, line in lines.items():
+                line.append(ends[k])
+            return start, keys, zeros, lines, walk
 
-        def dfs(start: int, table) -> bool:
+        def close(start: int, tab) -> bool:
+            # A node with joint.dim == r - 1, where a pick outside joint makes
+            # it full and hands the rest of the branch to `complete`.  No pool
+            # vectors inside joint span it (r - 1 of them would span the
+            # slices, and attempt(r - 1) would have returned them), so depth
+            # <= r - 2, and a pick that ends its line cannot complete: it is
+            # not walked.
             nonlocal steps
-            # joint.dim <= r - 1 here (a full joint span goes to `complete`),
-            # and the chosen matrices are independent and lie in joint, so
-            # depth <= joint.dim < r: dfs never starts at a finished branch.
-            depth = len(chosen)
-            if table is None and joint.dim == r - 1:
-                table = residues(start)
-            if table is not None:
-                keys, zeros, lines = table
-            last = pool_n - (r - depth) + 1
-            for i in range(start, last):
+            base, keys, zeros, lines, walk = tab
+            last = pool_n - (r - len(chosen)) + 1
+            for i in walk[bisect_left(walk, start):bisect_left(walk, last)]:
+                steps += 1
+                if steps > step_cap:
+                    raise BudgetExceeded("rank search", steps, step_cap)
+                tok_c = cur.add(pool_vecs[i])
+                if tok_c is None:
+                    continue
+                chosen.append(i)
+                k = keys[i - base]
+                if k:
+                    line = lines[k]
+                    cands = sorted(zeros[bisect_right(zeros, i):]
+                                   + line[bisect_right(line, i):])
+                    if complete(cands):
+                        return True
+                elif close(i + 1, tab):
+                    return True
+                chosen.pop()
+                cur.remove(tok_c)
+            return False
+
+        def dfs(start: int) -> bool:
+            # joint.dim <= r - 2 here, and the chosen matrices are independent
+            # and lie in joint, so depth <= joint.dim < r.  At r - 2 the node
+            # reduces its pool once, and a pick that raises joint to r - 1
+            # keys its child's table from these residues by the row it added.
+            nonlocal steps
+            res = None
+            if joint.dim == r - 2:
+                res = [joint.reduce(v) for v in pool_vecs[start:]]
+            for i in range(start, pool_n - (r - len(chosen)) + 1):
                 steps += 1
                 if steps > step_cap:
                     raise BudgetExceeded("rank search", steps, step_cap)
@@ -326,23 +375,16 @@ def min_spanning_rank_ones(
                 if tok_c is None:
                     continue
                 chosen.append(i)
-                if table is None:
-                    # joint.dim < r - 1, so no pick can take it past r here.
-                    tok_j = joint.add(v)
-                    if dfs(i + 1, None):
-                        return True
-                    if tok_j is not None:
-                        joint.remove(tok_j)
+                tok_j = joint.add(v)
+                if tok_j is None or res is None:
+                    found = dfs(i + 1)
                 else:
-                    k = keys[i]
-                    if k:
-                        line = lines[k]
-                        cands = sorted(zeros[bisect_right(zeros, i):]
-                                       + line[bisect_right(line, i):])
-                        if complete(cands):
-                            return True
-                    elif dfs(i + 1, table):
-                        return True
+                    keys = joint.line_keys(tok_j, res[i + 1 - start:])
+                    found = close(i + 1, table(i + 1, keys))
+                if found:
+                    return True
+                if tok_j is not None:
+                    joint.remove(tok_j)
                 chosen.pop()
                 cur.remove(tok_c)
             return False
@@ -350,9 +392,11 @@ def min_spanning_rank_ones(
         if joint.dim == r:
             members = (i for i in range(pool_n) if joint.contains(pool_vecs[i]))
             return tuple(chosen) if complete(members) else None
-        if dfs(0, None):
-            return tuple(chosen)
-        return None
+        if joint.dim == r - 1:
+            found = close(0, table(0, [joint.line_key(v) for v in pool_vecs]))
+        else:
+            found = dfs(0)
+        return tuple(chosen) if found else None
 
     for r in range(r0, r_max + 1):
         hit = attempt(r)

@@ -9,6 +9,7 @@ nothing there.
 """
 
 import importlib
+import random
 import sys
 import types
 from pathlib import Path
@@ -59,21 +60,37 @@ def test_tracer_installs_and_uninstall_restores(ds):
         assert all(after[k] is v for k, v in before[m].items()), m
 
 
+def _rank_one_sum(ds, p, dims, k, seed):
+    """The sum of k rank-one terms with seeded random factors."""
+    rng = random.Random(seed)
+    terms = tuple(ds.tensor.RankOneTerm(*(tuple(rng.randrange(p) for _ in range(d)) for d in dims))
+                  for _ in range(k))
+    return ds.tensor.eval_decomposition(
+        ds.tensor.Decomposition(ds.gfp.FieldSpec(p), dims, terms))
+
+
 def test_traced_rank_steps_sit_on_the_step_cap_boundary(ds):
-    # the symmetrized GF(2) shift family at n = 3 stacks into a rank-6 tensor
+    # The symmetrized GF(2) shift family at n = 3 stacks into a rank-6
+    # tensor.  The two seeded sums are searched at nodes one short of a full
+    # joint span, where the search skips picks after probing on a copy of
+    # the `cur` span; that probe makes no step, and the tracer must not
+    # count its adds.
     fam = ds.families.symmetrize(
         ds.families.matching_maps(ds.families.shift_matchings(3), ds.gfp.GF2))
-    tensor = ds.certify.family_tensor(fam)
-    tracer = _tracer(ds).install()
-    try:
-        rank, _ = ds.tensor.tensor_rank(tensor, 6)
-    finally:
-        tracer.uninstall()
-    steps = tracer.hot_counts()["tensor.steps"]
-    assert rank == 6 and steps > 0
-    assert ds.tensor.tensor_rank(tensor, 6, step_cap=steps) is not None
-    with pytest.raises(ds.errors.BudgetExceeded):
-        ds.tensor.tensor_rank(tensor, 6, step_cap=steps - 1)
+    cases = [(ds.certify.family_tensor(fam), 6, 6),
+             (_rank_one_sum(ds, 3, (2, 3, 3), 4, 2), 4, 3),
+             (_rank_one_sum(ds, 2, (3, 4, 4), 5, 1), 5, 5)]
+    for tensor, r_max, rank in cases:
+        tracer = _tracer(ds).install()
+        try:
+            found, _ = ds.tensor.tensor_rank(tensor, r_max)
+        finally:
+            tracer.uninstall()
+        steps = tracer.hot_counts()["tensor.steps"]
+        assert found == rank and steps > 0
+        assert ds.tensor.tensor_rank(tensor, r_max, step_cap=steps) is not None
+        with pytest.raises(ds.errors.BudgetExceeded):
+            ds.tensor.tensor_rank(tensor, r_max, step_cap=steps - 1)
 
 
 def test_traced_sampled_scans_count_every_draw(ds):

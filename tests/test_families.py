@@ -757,11 +757,12 @@ def test_scan_checks_its_counts():
     fam = shift_words_7()
     p, n, d = 2, fam.n, 3
     images = families_module._map_images(fam, vectors(p))
+    units = [1 << c for c in range(n)]
     nominal = grassmann_count(n, d, p)
     assert sum(item[3] for item in families_module._grassmann_scan(
-        fam, images, d, {d: n}, nominal, 0)) == nominal
+        fam, images, units, d, {d: n}, nominal, 0)) == nominal
     with pytest.raises(RuntimeError, match="covered 11811 subspaces, not 11812"):
-        list(families_module._grassmann_scan(fam, images, d, {d: n}, nominal + 1, 0))
+        list(families_module._grassmann_scan(fam, images, units, d, {d: n}, nominal + 1, 0))
 
 
 def count_items(monkeypatch):

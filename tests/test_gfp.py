@@ -387,6 +387,32 @@ def test_line_key_decides_membership_in_span_plus_one_vector(p):
     assert {(True, False, False), (True, True, True), (False, True, True)} <= agree
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_line_keys_from_residues_match_line_key(p):
+    # Residues modulo a span, reduced by the row the next add inserts, give
+    # the same keys as `line_key` on the grown span; the added vector and its
+    # multiples get key 0.
+    vec = vectors(p)
+    rng = random.Random(500 + p)
+    zero_keys = 0
+    for _ in range(60):
+        width = rng.randrange(1, 8)
+        span = make_row_span(p)
+        for _ in range(rng.randrange(0, width)):
+            span.add(vec.pack([rng.randrange(p) for _ in range(width)]))
+        x = [rng.randrange(p) for _ in range(width)]
+        probes = [vec.pack([rng.randrange(p) for _ in range(width)]) for _ in range(12)]
+        probes += [vec.pack([(c * a) % p for a in x]) for c in (1, p - 1)]
+        residues = [span.reduce(v) for v in probes]
+        tok = span.add(vec.pack(x))
+        if tok is None:
+            continue
+        keys = span.line_keys(tok, residues)
+        assert keys == [span.line_key(v) for v in probes]
+        zero_keys += keys.count(0)
+    assert zero_keys >= 60
+
+
 @pytest.mark.parametrize("p", [3, 5, 13, 65521])
 def test_row_span_packs_residue_lists_on_entry(p):
     # A plain residue list and its packed vector are the same vector to a span.

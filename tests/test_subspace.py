@@ -199,6 +199,17 @@ def test_grassmann_count_against_oracle():
     assert grassmann_count(3, -1, 2) == 0
 
 
+def test_grassmann_count_is_symmetric():
+    for p in (2, 3, 5):
+        for n in range(12):
+            for s in range(n + 1):
+                assert grassmann_count(n, s, p) == grassmann_count(n, n - s, p)
+                assert grassmann_count(n, s, p) == gaussian_binomial(n, s, p)
+    # the whole space, and its hyperplanes: one per nonzero functional
+    assert grassmann_count(1100, 1100, 2) == 1
+    assert grassmann_count(1100, 1099, 2) == 2**1100 - 1
+
+
 def test_enumeration_counts_and_uniqueness():
     for p in (2, 3):
         field = FieldSpec(p)

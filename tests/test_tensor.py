@@ -216,18 +216,69 @@ def test_rank_search_matches_lex_first_oracle_on_rank_k_sums():
     _check_against_lex_first_oracle(_low_rank_slices)
 
 
+def test_rank_search_matches_lex_first_oracle_where_picks_are_skipped():
+    # Sums of k >= r0 + 1 rank-one terms (r0 <= d1), drawn until the rank
+    # exceeds r0 by at least `over`, so the walk at r reaches nodes whose
+    # joint span is one short of r, where picks that end their line above z*
+    # are skipped.  Each tensor is checked at its rank and at rank - 1; at
+    # r0 + 1 or more, the latter exhausts such nodes.
+    rng = random.Random(97)
+    seen = set()
+    for p, d1, d2, d3, k, over, trials in (
+            (2, 1, 3, 3, 3, 2, 2), (2, 2, 2, 3, 3, 1, 3), (2, 2, 2, 3, 4, 1, 2),
+            (3, 1, 2, 3, 2, 1, 3), (3, 1, 3, 3, 3, 2, 1), (3, 2, 2, 2, 3, 1, 3),
+            (5, 1, 2, 3, 2, 1, 3), (5, 2, 2, 2, 3, 1, 3)):
+        field = FieldSpec(p)
+        for _ in range(trials):
+            while True:
+                slices = _low_rank_slices(field, d1, d2, d3, k, rng)
+                entries = [m.entries for m in slices]
+                r0 = rank_mod_p(entries, p)
+                expect = lex_first_spanning_rank_ones(entries, p, d2, d3, k)
+                if expect[0] >= r0 + over:
+                    break
+            rank = expect[0]
+            for r_max, want in ((rank, expect), (rank - 1, None)):
+                got = min_spanning_rank_ones(slices, r_max)
+                if got is not None:
+                    got = (got[0], tuple(w.entries for w in got[1]))
+                assert got == want, (entries, r_max)
+                seen.add(("found" if got else "exhausted", r_max - r0))
+    assert {("found", 1), ("found", 2), ("exhausted", 0), ("exhausted", 1)} <= seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_two_slice_takes_two_steps(p):
+    # One slice M of rank 2: the search at r = 2 starts at a node whose joint
+    # span is <M>, holding no rank-one matrix, so z* does not exist and every
+    # pick that ends its line fails.  The first pick with a later index on
+    # its line completes with that index: two adds, whatever the pool order.
+    # Without the skip, each of the failing picks before it adds one step.
+    field = FieldSpec(p)
+    rng = random.Random(101 + p)
+    for _ in range(12):
+        while True:
+            m = Matrix(field, 3, 3, tuple(rng.randrange(p) for _ in range(9)))
+            if rref(m).rank == 2:
+                break
+        r, witness = min_spanning_rank_ones([m], 3, step_cap=2)
+        assert r == 2
+        assert rref(Matrix.from_rows(field, [w.entries for w in witness] + [m.entries])).rank == 2
+
+
 # (seed, p, d1, d2, d3, k, r_max) -> (rank or None, steps): k rank-one terms,
-# or dense random slices when k is 0.  Recorded before the search closed
-# branches by residue lookup; one step is one add to the span of the chosen
-# matrices, a public budget (step_cap).
+# or dense random slices when k is 0.  One step is one add to the span of the
+# chosen matrices, a public budget (step_cap).  Recorded once the search
+# skipped the picks that end their line above z*, which make no add; the
+# last case has no such pick.
 PINNED_STEPS = [
-    ((101, 2, 3, 4, 4, 5, 6), (5, 5827)),  # pool 225
-    ((110, 2, 3, 4, 4, 5, 4), (None, 474)),  # pool 225, rank > 4 certified
-    ((104, 2, 4, 3, 3, 0, 6), (6, 270)),
-    ((2, 2, 2, 3, 3, 0, 6), (4, 79)),
-    ((102, 3, 2, 3, 3, 0, 6), (4, 220)),
-    ((102, 3, 2, 3, 3, 0, 3), (None, 173)),
-    ((101, 5, 2, 2, 4, 0, 6), (4, 1046)),
+    ((101, 2, 3, 4, 4, 5, 6), (5, 1376)),  # pool 225
+    ((110, 2, 3, 4, 4, 5, 4), (None, 73)),  # pool 225, rank > 4 certified
+    ((104, 2, 4, 3, 3, 0, 6), (6, 150)),
+    ((2, 2, 2, 3, 3, 0, 6), (4, 27)),
+    ((102, 3, 2, 3, 3, 0, 6), (4, 55)),
+    ((102, 3, 2, 3, 3, 0, 3), (None, 12)),
+    ((101, 5, 2, 2, 4, 0, 6), (4, 201)),
     ((122, 5, 2, 2, 3, 3, 6), (3, 32)),
 ]
 
