@@ -71,10 +71,11 @@ def _rank_one_sum(ds, p, dims, k, seed):
 
 def test_traced_rank_steps_sit_on_the_step_cap_boundary(ds):
     # The symmetrized GF(2) shift family at n = 3 stacks into a rank-6
-    # tensor.  The two seeded sums are searched at nodes one short of a full
-    # joint span, where the search skips picks after probing on a copy of
-    # the `cur` span; that probe makes no step, and the tracer must not
-    # count its adds.
+    # tensor.  The two seeded sums, over GF(3) and GF(2), are searched at
+    # nodes one short of a full joint span, where the search skips the picks
+    # that end their residue line with no add.  The tracer counts every add
+    # on the spans `make_row_span` returns after the slice span, so that
+    # count must equal the search's own.
     fam = ds.families.symmetrize(
         ds.families.matching_maps(ds.families.shift_matchings(3), ds.gfp.GF2))
     cases = [(ds.certify.family_tensor(fam), 6, 6),

@@ -219,7 +219,7 @@ def test_rank_search_matches_lex_first_oracle_on_rank_k_sums():
 def test_rank_search_matches_lex_first_oracle_where_picks_are_skipped():
     # Sums of k >= r0 + 1 rank-one terms (r0 <= d1), drawn until the rank
     # exceeds r0 by at least `over`, so the walk at r reaches nodes whose
-    # joint span is one short of r, where picks that end their line above z*
+    # joint span is one short of r, where picks that end their residue line
     # are skipped.  Each tensor is checked at its rank and at rank - 1; at
     # r0 + 1 or more, the latter exhausts such nodes.
     rng = random.Random(97)
@@ -250,10 +250,10 @@ def test_rank_search_matches_lex_first_oracle_where_picks_are_skipped():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_two_slice_takes_two_steps(p):
     # One slice M of rank 2: the search at r = 2 starts at a node whose joint
-    # span is <M>, holding no rank-one matrix, so z* does not exist and every
-    # pick that ends its line fails.  The first pick with a later index on
-    # its line completes with that index: two adds, whatever the pool order.
-    # Without the skip, each of the failing picks before it adds one step.
+    # span is <M>, holding no rank-one matrix, so every pick that ends its
+    # residue line fails and is skipped.  The first pick with a later index
+    # on its line completes with that index: two adds, whatever the pool
+    # order.  Without the skip, each failing pick before it adds one step.
     field = FieldSpec(p)
     rng = random.Random(101 + p)
     for _ in range(12):
@@ -269,8 +269,8 @@ def test_rank_two_slice_takes_two_steps(p):
 # (seed, p, d1, d2, d3, k, r_max) -> (rank or None, steps): k rank-one terms,
 # or dense random slices when k is 0.  One step is one add to the span of the
 # chosen matrices, a public budget (step_cap).  Recorded once the search
-# skipped the picks that end their line above z*, which make no add; the
-# last case has no such pick.
+# skipped the picks that end their residue line, which make no add; the last
+# case has no such pick.
 PINNED_STEPS = [
     ((101, 2, 3, 4, 4, 5, 6), (5, 1376)),  # pool 225
     ((110, 2, 3, 4, 4, 5, 4), (None, 73)),  # pool 225, rank > 4 certified
