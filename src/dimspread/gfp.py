@@ -450,22 +450,45 @@ def solve(m: Matrix, targets: Matrix) -> Matrix | None:
 # ----------------------------------------------------------------------
 
 
-class Gf2RowSpan:
-    """Incremental row span over GF(2); rows are bit-packed ints.
+class _RowSpan:
+    """The field-free part of an incremental row span.
 
-    Rows are kept in echelon form (distinct leading bits, descending), so a
-    single pass reduces a vector.  `add` returns an undo token; removal must
-    be LIFO with respect to additions.
+    A subclass keeps `rows` in echelon form, so one pass of `reduce` gives a
+    vector's canonical residue, 0 exactly in the span.  `add` returns an
+    undo token, or None for a vector in the span, and `remove` takes tokens
+    back in LIFO order.  `line_keys(pos, residues)` keys each residue's
+    vector by its line: 0 exactly in the span, and equal for u and w outside
+    it exactly when span + <u> == span + <w>.  Each residue must be
+    congruent to its vector modulo the span and zero at the lead of every
+    row but row pos.  Two kinds meet this: residues that `reduce` took
+    before the add that returned token pos, and full residues, which row
+    pos leaves unchanged.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self) -> None:
-        self.rows: list[int] = []
-
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v)
+
+    def remove(self, pos: int) -> None:
+        del self.rows[pos]
+
+
+class Gf2RowSpan(_RowSpan):
+    """Incremental row span over GF(2); rows are bit-packed ints.
+
+    Rows are kept in echelon form (distinct leading bits, descending), so a
+    single pass reduces a vector.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.rows: list[int] = []
 
     def reduce(self, v: int) -> int:
         for r in self.rows:
@@ -474,25 +497,9 @@ class Gf2RowSpan:
                 v = w
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def line_key(self, v: int) -> int:
-        """The residue of v, 0 exactly when v is in the span.
-
-        Keys of u and w agree exactly when span + <u> == span + <w> for u, w
-        outside the span; over GF(2) every nonzero residue is its own line.
-        """
-        return self.reduce(v)
-
     def line_keys(self, pos: int, residues) -> list:
-        """`line_key` of each vector, given its residue modulo the span
-        without row pos; pos is the token of the last add.
-
-        Row pos is zero at every other row's leading bit, so reducing by it
-        alone leaves each residue zero at every leading bit, and the one
-        such residue is the one `reduce` returns.
-        """
+        """Reducing by row pos alone gives the canonical residue, and over
+        GF(2) each nonzero residue is its own line."""
         x = self.rows[pos]
         top = 1 << (x.bit_length() - 1)
         return [v ^ x if v & top else v for v in residues]
@@ -508,16 +515,13 @@ class Gf2RowSpan:
         rows.insert(pos, v)
         return pos
 
-    def remove(self, pos: int) -> None:
-        del self.rows[pos]
-
     def copy(self) -> "Gf2RowSpan":
         dup = Gf2RowSpan()
         dup.rows = list(self.rows)
         return dup
 
 
-class ModRowSpan:
+class ModRowSpan(_RowSpan):
     """Incremental row span over odd GF(p); rows normalized to unit leading entry.
 
     Same interface as Gf2RowSpan on the lane-packed vectors of `vectors(p)`;
@@ -527,16 +531,12 @@ class ModRowSpan:
     vector.
     """
 
-    __slots__ = ("p", "lanes", "rows")
+    __slots__ = ("p", "lanes")
 
     def __init__(self, p: int) -> None:
         self.p = p
         self.lanes = _lanes(p)
         self.rows: list[tuple[int, int]] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def reduce(self, v) -> int:
         """The canonical residue of v modulo the span."""
@@ -555,9 +555,6 @@ class ModRowSpan:
                 room -= 1
         return v if room == again else reduce(v)
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v)
-
     def _lead(self, v: int) -> tuple[int, int]:
         """(bit offset of v's first nonzero lane, v scaled to a 1 there)."""
         low = (v & -v).bit_length() - 1
@@ -567,24 +564,10 @@ class ModRowSpan:
             v = self.lanes.reduce(v * pow(x, self.p - 2, self.p))
         return lead, v
 
-    def line_key(self, v):
-        """The residue of v scaled to a unit first nonzero entry, or 0 in the span.
-
-        Keys of u and w agree exactly when span + <u> == span + <w> for u, w
-        outside the span: their residues then differ by a nonzero factor.
-        """
-        v = self.reduce(v)
-        return self._lead(v)[1] if v else 0
-
     def line_keys(self, pos: int, residues) -> list:
-        """`line_key` of each vector, given its residue modulo the span
-        without row pos, as `reduce` returns it; pos is the token of the
-        last add.
-
-        Row pos is zero at every other row's lead, so reducing by it alone
-        leaves each residue zero at every lead, and the one such residue is
-        the one `reduce` returns.
-        """
+        """Reducing by row pos alone gives the canonical residue, scaled
+        here to a unit first nonzero entry: residues on one line differ by
+        a nonzero factor."""
         lead, x = self.rows[pos]
         p, mask, reduce = self.p, self.lanes.mask, self.lanes.reduce
         keys = []
@@ -606,9 +589,6 @@ class ModRowSpan:
             pos += 1
         rows.insert(pos, (lead, v))
         return pos
-
-    def remove(self, pos: int) -> None:
-        del self.rows[pos]
 
     def copy(self) -> "ModRowSpan":
         dup = ModRowSpan.__new__(ModRowSpan)

@@ -84,17 +84,23 @@ class Tensor3:
         return tuple(self.slice(i) for i in range(self.d1))
 
 
-def slice_tensor(slices: Sequence[Matrix]) -> Tensor3:
-    """Stack matrices into a tensor whose i-th slice is slices[i]."""
+def _slice_shape(slices: Sequence[Matrix], others: Sequence[Matrix] = ()):
+    """(field, rows, cols) of the first slice, once every slice and every
+    one of `others` is checked to share them."""
     if not slices:
         raise ValueError("need at least one slice")
-    field = slices[0].field
-    d2, d3 = slices[0].rows, slices[0].cols
-    for m in slices:
+    field, d2, d3 = slices[0].field, slices[0].rows, slices[0].cols
+    for m in itertools.chain(slices, others):
         if m.field != field:
-            raise ValueError("slices over mixed fields")
+            raise ValueError("matrices over mixed fields")
         if (m.rows, m.cols) != (d2, d3):
-            raise ValueError("slices have inconsistent shapes")
+            raise ValueError("matrices have inconsistent shapes")
+    return field, d2, d3
+
+
+def slice_tensor(slices: Sequence[Matrix]) -> Tensor3:
+    """Stack matrices into a tensor whose i-th slice is slices[i]."""
+    field, d2, d3 = _slice_shape(slices)
     entries = tuple(x for m in slices for x in m.entries)
     return Tensor3(field, len(slices), d2, d3, entries)
 
@@ -211,7 +217,7 @@ def min_spanning_rank_ones(
 
     The pass needs the pool indices inside the joint span.  A node whose
     joint span J has dimension r - 1 groups the later indices by the line
-    of their residue modulo J (`line_key`: the residue itself over GF(2),
+    of their residue modulo J (`line_keys`: the residue itself over GF(2),
     scaled to a unit first entry over odd p).  A pick v outside J makes
     J + <v> full, and w lies in it exactly when w's residue is zero or on
     v's line; so the pass walks the indices after v with key 0 or key(v),
@@ -219,7 +225,7 @@ def min_spanning_rank_ones(
     leave J unchanged and share the node's table.  The keys come from the
     parent: a node at dimension r - 2 reduces its pool once, and a pick that
     raises J to r - 1 inserts one row, by which alone `line_keys` reduces
-    those residues.
+    those residues.  A root within one of r reduces its pool once itself.
 
     No set of pool vectors inside J spans J, since r - 1 of them would span
     the slices and the search at r - 1 would have returned them.  So a
@@ -235,16 +241,10 @@ def min_spanning_rank_ones(
     Returns (r, witness matrices), or None once the search has certified
     that the rank exceeds r_max.
     """
-    if not slices:
-        raise ValueError("need at least one slice")
+    field, d2, d3 = _slice_shape(slices)
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    field = slices[0].field
     p = field.modulus
-    d2, d3 = slices[0].rows, slices[0].cols
-    for m in slices:
-        if m.field != field or (m.rows, m.cols) != (d2, d3):
-            raise ValueError("slices have inconsistent shapes or fields")
 
     vec = vectors(p)
     pack, unpack = vec.pack, vec.unpack
@@ -334,7 +334,7 @@ def min_spanning_rank_ones(
             # <= r - 2, and a pick that ends its line cannot complete: it is
             # not walked.
             nonlocal steps
-            base, keys, zeros, lines, walk = tab
+            first, keys, zeros, lines, walk = tab
             last = pool_n - (r - len(chosen)) + 1
             for i in walk[bisect_left(walk, start):bisect_left(walk, last)]:
                 steps += 1
@@ -344,7 +344,7 @@ def min_spanning_rank_ones(
                 if tok_c is None:
                     continue
                 chosen.append(i)
-                k = keys[i - base]
+                k = keys[i - first]
                 if k:
                     line = lines[k]
                     cands = sorted(zeros[bisect_right(zeros, i):]
@@ -389,13 +389,16 @@ def min_spanning_rank_ones(
                 cur.remove(tok_c)
             return False
 
-        if joint.dim == r:
-            members = (i for i in range(pool_n) if joint.contains(pool_vecs[i]))
-            return tuple(chosen) if complete(members) else None
-        if joint.dim == r - 1:
-            found = close(0, table(0, [joint.line_key(v) for v in pool_vecs]))
-        else:
+        if joint.dim < r - 1:
             found = dfs(0)
+        else:
+            # The root reduces the pool once.  At r the pool members of joint
+            # are the zero residues; at r - 1 any row keys the full residues.
+            res = map(joint.reduce, pool_vecs)
+            if joint.dim == r:
+                found = complete(i for i, v in enumerate(res) if not v)
+            else:
+                found = close(0, table(0, joint.line_keys(0, res)))
         return tuple(chosen) if found else None
 
     for r in range(r0, r_max + 1):
@@ -436,13 +439,11 @@ def reconstruct_decomposition(
 
     Solves one linear system per slice (all at once) for the coefficient
     vectors, then reads the factors off the matrices.  Raises SpanFailure
-    if some slice is outside the span.
+    if some slice is outside the span, and ValueError unless every slice
+    and rank-one matrix has one field and one shape.
     """
-    if not slices:
-        raise ValueError("need at least one slice")
-    field = slices[0].field
+    field, d2, d3 = _slice_shape(slices, rank_ones)
     d1 = len(slices)
-    d2, d3 = slices[0].rows, slices[0].cols
     factors = [_rank_one_factors(e) for e in rank_ones]
     cols = Matrix.from_rows(field, [e.entries for e in rank_ones], cols=d2 * d3).transpose()
     targets = Matrix.from_rows(field, [m.entries for m in slices], cols=d2 * d3).transpose()

@@ -350,23 +350,68 @@ def test_fill_lists_every_value_at_cols_in_lex_order(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+def test_row_span_protocol(p):
+    # dim, contains, remove and the undo tokens, on the span class of each
+    # field: an add returns None exactly for a vector in the span, and
+    # removing the tokens in LIFO order restores each earlier span.
+    vec = vectors(p)
+    rng = random.Random(700 + p)
+    for _ in range(30):
+        width = rng.randrange(1, 7)
+        span = Gf2RowSpan() if p == 2 else ModRowSpan(p)
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, 8))]
+        probes = [[rng.randrange(p) for _ in range(width)] for _ in range(6)] + rows
+        kept, undo = [], []
+        for row in rows:
+            before = (span.dim, list(span.rows), [span.contains(vec.pack(w)) for w in probes])
+            tok = span.add(vec.pack(row))
+            assert (tok is None) == (rank_mod_p(kept + [row], p) == len(kept))
+            if tok is not None:
+                kept.append(row)
+                undo.append((tok, before))
+            assert span.dim == len(kept)
+            assert [span.contains(vec.pack(w)) for w in probes] == [
+                rank_mod_p(kept + [w], p) == len(kept) for w in probes]
+        for tok, before in reversed(undo):
+            span.remove(tok)
+            assert (span.dim, span.rows, [span.contains(vec.pack(w)) for w in probes]) == before
+        assert span.dim == 0
+
+
+def last_add(p, rng, width):
+    """(span, prev, tok, rows): a span of random rows over GF(p)^width whose
+    last add, of a row outside the others, returned tok; prev is a copy of
+    the span from before that add, and rows lists every row added."""
+    vec = vectors(p)
+    span, rows = make_row_span(p), []
+    for _ in range(rng.randrange(0, width)):
+        rows.append([rng.randrange(p) for _ in range(width)])
+        span.add(vec.pack(rows[-1]))
+    while True:
+        x = [rng.randrange(p) for _ in range(width)]
+        if not span.contains(vec.pack(x)):
+            break
+    prev = span.copy()
+    return span, prev, span.add(vec.pack(x)), rows + [x]
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_line_key_decides_membership_in_span_plus_one_vector(p):
-    # w lies in J + <v> exactly when key(w) is 0 or key(v), checked by rref
-    # rank; and key(c v) == key(v) for every nonzero c.
+    # `line_keys` from residues taken before the last add: w lies in J + <v>
+    # exactly when key(w) is 0 or key(v), checked by rref rank, so keys of
+    # vectors outside J agree exactly when they give one J + <v>; and
+    # key(c v) == key(v) for every nonzero c.
     field = FieldSpec(p)
     vec = vectors(p)
     rng = random.Random(200 + p)
     agree = set()
     for _ in range(80):
-        width, k = rng.randrange(1, 7), rng.randrange(0, 4)
-        basis = [[rng.randrange(p) for _ in range(width)] for _ in range(k)]
-        span = make_row_span(p)
-        for row in basis:
-            span.add(vec.pack(row))
+        width = rng.randrange(1, 7)
+        span, prev, tok, basis = last_add(p, rng, width)
         v = [rng.randrange(p) for _ in range(width)]
-        key_v = span.line_key(vec.pack(v))
-        for c in range(1, p) if p < 20 else (2, 3, (p + 1) // 2, p - 1):
-            assert span.line_key(vec.pack([(c * x) % p for x in v])) == key_v
+        scaled = [[(c * x) % p for x in v]
+                  for c in (range(1, p) if p < 20 else (2, 3, (p + 1) // 2, p - 1))]
+        ws = []
         for _ in range(8):
             if rng.randrange(2):
                 # c v plus a combination of J: always in J + <v>
@@ -375,11 +420,13 @@ def test_line_key_decides_membership_in_span_plus_one_vector(p):
                 for row in basis:
                     a = rng.randrange(p)
                     w = [x + a * y for x, y in zip(w, row)]
-                w = [x % p for x in w]
+                ws.append([x % p for x in w])
             else:
-                w = [rng.randrange(p) for _ in range(width)]
-            key_w = span.line_key(vec.pack(w))
-            rank_jv = rref(Matrix.from_rows(field, basis + [v], cols=width)).rank
+                ws.append([rng.randrange(p) for _ in range(width)])
+        key_v, *keys = span.line_keys(tok, [prev.reduce(vec.pack(u)) for u in [v] + scaled + ws])
+        assert keys[:len(scaled)] == [key_v] * len(scaled)
+        rank_jv = rref(Matrix.from_rows(field, basis + [v], cols=width)).rank
+        for w, key_w in zip(ws, keys[len(scaled):]):
             inside = rref(Matrix.from_rows(field, basis + [v, w], cols=width)).rank == rank_jv
             assert inside == (not key_w or key_w == key_v), (basis, v, w)
             agree.add((inside, bool(key_w), bool(key_v)))
@@ -389,28 +436,21 @@ def test_line_key_decides_membership_in_span_plus_one_vector(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_line_keys_from_residues_match_line_key(p):
-    # Residues modulo a span, reduced by the row the next add inserts, give
-    # the same keys as `line_key` on the grown span; the added vector and its
-    # multiples get key 0.
+    # Residues taken before the last add and full residues taken after it
+    # give the same keys, and full residues the same keys by every row; the
+    # keys are 0 exactly in the span, as for the added vector's multiples.
     vec = vectors(p)
     rng = random.Random(500 + p)
-    zero_keys = 0
     for _ in range(60):
         width = rng.randrange(1, 8)
-        span = make_row_span(p)
-        for _ in range(rng.randrange(0, width)):
-            span.add(vec.pack([rng.randrange(p) for _ in range(width)]))
-        x = [rng.randrange(p) for _ in range(width)]
+        span, prev, tok, rows = last_add(p, rng, width)
         probes = [vec.pack([rng.randrange(p) for _ in range(width)]) for _ in range(12)]
-        probes += [vec.pack([(c * a) % p for a in x]) for c in (1, p - 1)]
-        residues = [span.reduce(v) for v in probes]
-        tok = span.add(vec.pack(x))
-        if tok is None:
-            continue
-        keys = span.line_keys(tok, residues)
-        assert keys == [span.line_key(v) for v in probes]
-        zero_keys += keys.count(0)
-    assert zero_keys >= 60
+        probes += [vec.pack([(c * a) % p for a in rows[-1]]) for c in (1, p - 1)]
+        keys = span.line_keys(tok, [prev.reduce(v) for v in probes])
+        full = [span.reduce(v) for v in probes]
+        assert all(span.line_keys(pos, full) == keys for pos in range(span.dim))
+        assert [not k for k in keys] == [span.contains(v) for v in probes]
+        assert keys[-2:] == [0, 0]
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 65521])
@@ -428,8 +468,10 @@ def test_row_span_packs_residue_lists_on_entry(p):
             assert plain.dim == packed.dim
         for w in probes:
             assert plain.contains(w) == packed.contains(vec.pack(w))
-            assert plain.line_key(w) == packed.line_key(vec.pack(w))
-            assert plain.line_key(w) == plain.line_key(vec.pack(w))
+            assert plain.reduce(w) == packed.reduce(vec.pack(w)) == plain.reduce(vec.pack(w))
+        if plain.dim:
+            assert (plain.line_keys(0, [plain.reduce(w) for w in probes])
+                    == packed.line_keys(0, [packed.reduce(vec.pack(w)) for w in probes]))
 
 
 # Terms per lane reduction: with every coefficient and entry p - 1, each term
@@ -460,6 +502,7 @@ def test_row_span_at_the_lane_term_budget(p):
     basis = [[int(j == i) for j in range(k)] + [top] for i in range(k)]
     span = make_row_span(p)
     for i, row in enumerate(basis):
+        prev = span.copy()
         assert span.add(vec.pack([top * x % p for x in row])) == i
     assert span.dim == rank_mod_p(basis, p) == k
     last = vec.pack([0] * k + [1])
@@ -468,11 +511,12 @@ def test_row_span_at_the_lane_term_budget(p):
         u = [1] * k + [x]
         inside = rank_mod_p(basis + [u], p) == k
         assert span.contains(vec.pack(u)) == inside
-        key = span.line_key(vec.pack(u))
+        # keyed from residues before the last add, which has token k - 1
+        key, key_last = span.line_keys(k - 1, [prev.reduce(vec.pack(u)), prev.reduce(last)])
         assert (key == 0) == inside
         if not inside:
             # span + <u> is the whole space, as is span + <e_k>
-            assert key == span.line_key(last)
+            assert key == key_last
             outside.append(u)
     assert 0 < len(outside) < 5
     grown = span.copy()

@@ -1,11 +1,15 @@
 """The README's examples run as written: the Python quick tour prints what
-its comments say, and each `$ dimspread ...` transcript prints its text."""
+its comments say, each `$ dimspread ...` transcript prints its text, and
+the complete file-format examples parse."""
 
 import re
 import shlex
 from pathlib import Path
 
 from dimspread.cli import main
+from dimspread.formats import parse_decomposition, parse_matchings
+from dimspread.gfp import GF2, Matrix
+from dimspread.tensor import eval_decomposition
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -42,3 +46,19 @@ def test_cli_transcripts_match(tmp_path, monkeypatch, capsys):
     for argv, want in steps:
         assert main(argv) == 0
         assert capsys.readouterr().out == want
+
+
+def format_example(header: str) -> str:
+    """The one plain fenced block that starts with `header`."""
+    (block,) = re.findall(rf"^```\n({header}\n.*?)^```$", README, flags=re.M | re.S)
+    return block
+
+
+def test_file_format_examples_parse():
+    # the .maps and .t3 examples elide their rows; .dec and .matchings are whole
+    dec = parse_decomposition(format_example("decomp 1"))
+    assert (dec.field, dec.dims, len(dec)) == (GF2, (1, 2, 2), 2)
+    assert eval_decomposition(dec).slice(0) == Matrix.identity(GF2, 2)
+    matchings = parse_matchings(format_example("matchings 1"))
+    assert [m.pairs for m in matchings] == [((1, 1), (2, 2), (3, 3)), ((1, 2), (2, 3)),
+                                            ((2, 1), (3, 2))]

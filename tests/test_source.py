@@ -2,12 +2,14 @@
 the exact subspace layer stays off the packed vectors the scans use, so the
 invariants it checks do not share code with them; the sampler's draw
 protocol rests on the public `random.Random` API alone; the CLI writes
-stdout from `main` alone; and each `__all__` lists what its module defines."""
+stdout from `main` alone; each `__all__` lists what its module defines; and
+the package imports nothing outside the standard library."""
 
 import ast
 import importlib
 import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,34 @@ def test_package_all_reexports_module_names():
     listed = {n for name in MODULES for n in importlib.import_module(f"dimspread.{name}").__all__}
     assert all(hasattr(dimspread, n) for n in dimspread.__all__)
     assert sorted(set(dimspread.__all__) - listed - {"__version__"}) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports in `source` of modules outside the standard library,
+    as 'line: module'; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {n}" for n in names
+                  if n.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_non_stdlib_imports_finds_each_kind():
+    source = ("import itertools, numpy as np\nfrom os.path import join\n"
+              "from . import gfp\nfrom .gfp import Matrix\nimport dimspread.gfp\n"
+              "from sympy.matrices import Matrix\n"
+              "def f():\n    import scipy.linalg\n")
+    assert sorted(non_stdlib_imports(source)) == ["1: numpy", "5: dimspread.gfp",
+                                                  "6: sympy.matrices", "8: scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_imports_only_the_standard_library(path):
+    # the toolkit is stdlib-only; its own modules are imported relatively
+    assert non_stdlib_imports(path.read_text()) == []

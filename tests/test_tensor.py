@@ -358,6 +358,22 @@ def test_reconstruct_outside_span():
         reconstruct_decomposition([I2], [N2])
 
 
+def test_reconstruct_rejects_matrices_of_another_field():
+    # N2 over GF(3) with its 1 doubled would read as zero mod 2, and N2 over
+    # GF(3) as N2: both must be refused, not reduced.
+    n2_f3 = Matrix.from_rows(F3, [[0, 2], [0, 0]])
+    with pytest.raises(ValueError, match="mixed fields"):
+        reconstruct_decomposition([N2, n2_f3], [N2])
+    with pytest.raises(ValueError, match="mixed fields"):
+        reconstruct_decomposition([N2], [N2, Matrix.from_rows(F3, [[0, 1], [0, 0]])])
+
+
+def test_reconstruct_rejects_matrices_of_another_shape():
+    # a 1 x 4 slice with the entries of N2 would read as N2
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        reconstruct_decomposition([N2, Matrix.from_rows(GF2, [[0, 1, 0, 0]])], [N2])
+
+
 def test_tensor_rank_known_values():
     t = slice_tensor([I2, N2, NT2])
     got = tensor_rank(t, 4)
