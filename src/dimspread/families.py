@@ -26,7 +26,10 @@ are built the first time a scan needs the map.
 Adding stops as soon as the span reaches the need: the threshold when
 verifying, the least value found so far when measuring, n for the
 large-subspace records.  A span one short of the need only tests the next
-row's images for membership, up to the first one outside it.  The
+row's images for membership, up to the first one outside it; when that row
+is the last, with two or more free entries, one linear test on the
+residues of its group (`_group_reaches`) first decides whether every row
+of the group leaves the span, and if so the group is one block.  The
 block and subspace counts of each dimension are checked against its
 Gaussian binomial.  A `Subspace` is built only for the counterexample or
 witness reported, which is the same canonical first one a
@@ -35,15 +38,18 @@ subspace-by-subspace walk finds.
 Each dimension is scanned with a floor, a least image-sum dim proven before
 its scan starts, and once its need is at or below the floor the rest of
 the dimension is decided: one block per Schubert cell, with nothing built.
-The floor is the larger of two bounds.  A family that holds the identity
-has U inside the sum of the images of U, so every dim-d image sum has dim
->= d, and a spreading threshold t <= s is settled with no scan.  A dim-d
+The floor is the larger of two bounds.  The image sum of U contains A U
+for each map A, and dim(A U) >= d - nullity(A), so every dim-d image sum
+has dim >= d - k for the least nullity k over the maps (`_least_nullity`;
+0 for the identity, seen from its entries), and a family with an
+invertible map settles a spreading threshold t <= s with no scan.  A dim-d
 subspace contains a dim-(d-1) one, whose image sum lies in its own, so
 f(d) >= f(d-1) for the least image-sum dim f; f(d-1) is proven once the
 scan of dim d-1 has covered every subspace, and a measuring scan stops
 dim d when its running minimum reaches that bound.  The minimum only
 moves on a strictly lower value, so the witness stays the first subspace
-that attains it.  Sampled scans use no floor.
+that attains it.  Sampled scans use d - k alone: a draw whose need is at
+or below it is still made, but takes no image.
 
 Sampled scans draw through `sample_with_rng` with a rank test of their
 own (`_independent`): an attempt is packed and its rows added to one row
@@ -372,6 +378,34 @@ def _image_table(image, values) -> list:
     return list(map(image, values))
 
 
+def _group_reaches(span, empty, images, points, group, shift: int) -> bool:
+    """Whether every row of a last-row group has an image outside `span`.
+
+    The group's rows are points[0] plus each combination of points[1:], the
+    unit vectors of the row's free entries, so a row's residue modulo the
+    span under map j is linear in that combination: R0 + sum x_k Rk, with
+    R0 and Rk the residues of map j's images of the points.  Set side by
+    side for maps 0..j (map i's coordinates from bit i * shift), some row
+    keeps every image under those maps inside the span exactly when R0
+    lies in the span of the Rk.  Maps are tested in order up to the first
+    where it does not, and group[j] caches map j's images of the points.
+    """
+    r0, rk = 0, [0] * (len(points) - 1)
+    for j, image in enumerate(images):
+        if group[j] is None:
+            group[j] = list(map(image, points))
+        at = j * shift
+        head, *tail = [span.reduce(v) << at for v in group[j]]
+        r0 |= head
+        test = empty.copy()
+        for i, v in enumerate(tail):
+            rk[i] |= v
+            test.add(rk[i])
+        if not test.contains(r0):
+            return True
+    return False
+
+
 def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dict[int, int],
                     nominal: int, floor: int):
     """Yields items (d, packed rows, a, count) that cover every dim-d
@@ -384,7 +418,8 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
     last row is an item of count 1.  Once the images of rows 0..k-1 of a
     prefix span need[d] or more, the rest of its subtree is one item, a
     block, whose a is the dim of that span (grown no further than need[d]):
-    every member's image sum contains it.
+    every member's image sum contains it.  A last-row group that the group
+    test settles is a block too.
 
     The rows are walked as a tree by an odometer (`idx`, `cur`) over the
     values of each prefix row, which `vec.fill` lists once per cell from
@@ -401,8 +436,13 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
     (once per prefix at d = 1) when a subspace first reads it.  When a span
     is exactly one short of the need, the next row reaches it iff one of
     its images lies outside that span, so the images are only tested with
-    `contains`, up to the first one outside, and no span is built.  The
-    caller may lower need[d] between items.
+    `contains`, up to the first one outside, and no span is built.  When
+    the last row is next, with two or more free entries, `_group_reaches`
+    first tests its whole group of values at once; if no row of the group
+    keeps every image inside the span, the group is one block with
+    a = need[d], and otherwise it is walked row by row.  So a block may
+    also stand for one last-row group.  The caller may lower need[d]
+    between items.
 
     `floor` is a proven lower bound on every dim-d image sum.  Once need[d]
     is at or below it, every subspace not yet covered reaches the need: the
@@ -415,7 +455,9 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
     if lower.
     """
     p, n = fam.field.modulus, fam.n
-    fill = vectors(p).fill
+    vec = vectors(p)
+    fill = vec.fill
+    shift = n * vec.width  # map j's coordinates side by side from bit j * shift
     width = 0
     while p ** (width + 1) <= _TABLE_CAP:
         width += 1
@@ -476,16 +518,22 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
                     a = span.dim
                 k += 1
                 spans[k] = span
+            if a < target and cur[last] != base:
+                base = cur[last]
+                lasts = fill(base, tail)
+                tables = [None] * len(images)
+                points = [base] + [units[c] for c in tail]
+                group = [None] * len(images)
             if a >= target:
                 count = (len(choices[k]) - idx[k]) * below[k + 1]
                 covered += count
                 yield d, tuple(cur), a, count
                 idx[k] = len(choices[k]) - 1  # the carry below leaves row k's subtree
+            elif (a == target - 1 and len(tail) > 1
+                  and _group_reaches(span, empty, images, points, group, shift)):
+                covered += len(lasts)
+                yield d, tuple(cur), target, len(lasts)
             else:
-                if cur[last] != base:
-                    base = cur[last]
-                    lasts = fill(base, tail)
-                    tables = [None] * len(images)
                 covered += len(lasts)
                 rows = tuple(cur[:last])
                 reached = a
@@ -549,17 +597,21 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     before any work, then walks each Grassmannian cell by cell in canonical
     order (`_grassmann_scan`, which checks its counts against the Gaussian
     binomials computed for the budget), so the first subspace a caller picks
-    is the canonical first.  Each dim is scanned with its proven floor: d
-    when the family holds the identity, and the least value the scan of
-    d - 1 proved when that scan came just before it.  Sampled mode checks
-    samples * len(need) draws against the same budget, then draws `samples`
-    subspaces per dimension from one RNG seeded with `seed` (through the
-    module name `sample_with_rng`, once per draw, with `_independent` as its
-    rank test), adds the images of each draw's packed rows until the span
-    reaches need[d], and yields each draw with count 1.  Sampled rows are as
-    drawn, not canonical; no draw is reduced, validated or built into a
-    `Subspace` here, and the caller builds one, by `_subspace`, only for the
-    draw it reports.
+    is the canonical first.  Each dim is scanned with its proven floor: the
+    larger of d - k, for k the least nullity over the maps, and the least
+    value the scan of d - 1 proved when that scan came just before it.  k is
+    0 when the family holds the identity; otherwise it is computed, after
+    the budget check, only when some need[d] <= d, since d - k is at most d
+    (else k is taken as n, no floor).  Sampled mode checks samples *
+    len(need) draws against the same budget, then draws `samples` subspaces
+    per dimension from one RNG seeded with `seed` (through the module name
+    `sample_with_rng`, once per draw, with `_independent` as its rank test).
+    A draw whose need[d] is at or below d - k is yielded with a = d - k and
+    takes no image; any other adds the images of its packed rows until the
+    span reaches need[d].  Each draw is yielded with count 1.  Sampled rows
+    are as drawn, not canonical; no draw is reduced, validated or built into
+    a `Subspace` here, and the caller builds one, by `_subspace`, only for
+    the draw it reports.
     """
     p = fam.field.modulus
     if samples is None:
@@ -575,23 +627,35 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
         raise BudgetExceeded(stage, total, enumeration_cap)
     vec = vectors(p)
     images = _map_images(fam, vec)
+    # A floor d - nullity is at most d, so it can settle a dimension only
+    # once its need is at most d.  The identity's nullity, 0, is seen from
+    # its entries (a 1, then n zeros before each next 1); any other map's
+    # costs a rank, taken only when some need is already that low.
+    eye = (1,) + ((0,) * fam.n + (1,)) * (fam.n - 1)
+    if any(m.entries == eye for m in fam.maps):
+        nullity = 0
+    elif any(need[d] <= d for d in need):
+        nullity = _least_nullity(fam, vec)
+    else:
+        nullity = fam.n
     if samples is None:
-        # the identity's row-major entries: a 1, then n zeros before each next 1
-        eye = (1,) + ((0,) * fam.n + (1,)) * (fam.n - 1)
-        identity = any(m.entries == eye for m in fam.maps)
         units = [vec.pack((0,) * c + (1,)) for c in range(fam.n)]
         proven = {}
         for d in need:
-            floor = max(d if identity else 0, proven.get(d - 1, 0))
+            floor = max(d - nullity, proven.get(d - 1, 0))
             proven[d] = yield from _grassmann_scan(fam, images, units, d, need, nominal[d],
                                                    floor)
         return
     rng = random.Random(seed)
     accept = _independent(p)
     for d in need:
+        floor = max(d - nullity, 0)
         for _ in range(samples):
             rows = sample_with_rng(fam.n, d, fam.field, rng, accept)
             target = need[d]
+            if target <= floor:
+                yield d, rows, floor, 1
+                continue
             span = make_row_span(p)
             for image in images:
                 if span.dim >= target:
@@ -600,6 +664,22 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                     if span.add(image(v)) is not None and span.dim >= target:
                         break
             yield d, rows, span.dim, 1
+
+
+def _least_nullity(fam: MapFamily, vec) -> int:
+    """The least nullity n - rank over the family's maps, each rank from
+    adding the map's packed rows to one row span, up to the first
+    invertible map."""
+    n = fam.n
+    least = n
+    for m in fam.maps:
+        span = make_row_span(fam.field.modulus)
+        for i in range(n):
+            span.add(vec.pack(m.row(i)))
+        least = min(least, n - span.dim)
+        if not least:
+            break
+    return least
 
 
 def _independent(p: int):
@@ -683,7 +763,11 @@ def verify_spreading(
     Because image sums are monotone in the subspace, a violation at a larger
     dimension implies one at dimension s, so only dim(U) = s is scanned.
     Exhaustive mode reports the first counterexample in canonical order;
-    sampled mode (samples, seed) reports the first one drawn.
+    sampled mode (samples, seed) reports the first one drawn.  Every dim-s
+    image sum reaches s - k, for k the least nullity over the maps, so a
+    threshold t <= s - k is settled without an image in both modes: by the
+    identity or any invertible map when t <= s.  Sampled mode still makes
+    every draw, so a seed gives the same draws.
     """
     if not 1 <= params.s <= fam.n:
         raise ValueError(f"s={params.s} is not between 1 and n={fam.n}")

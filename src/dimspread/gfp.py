@@ -10,12 +10,13 @@ field, laid out here and nowhere else: over GF(2) bit j is coordinate j and
 vectors add with XOR; over odd p coordinate j is the lane of `_lanes(p)`
 bits at j * width, and vectors add as whole ints whose lanes are reduced
 mod p only before one could overflow and once at the end.  `vectors(p)`
-returns the pack/unpack/images/fill operations for that representation
-and `make_row_span(p)` the matching span accumulator.  Over GF(2), `images`
-reads the combinations of fixed rows from XOR tables of 2**8 entries, one
-per 8 rows (`_CHUNK`).  `fill` sets coordinates that are 0 to every value,
-which is int addition with no carry in either layout.  Elimination (`rref`,
-`kernel_basis`, `solve`) runs on dense residue rows for every p.
+returns the pack/unpack/images/fill operations and the bits per coordinate
+of that representation, and `make_row_span(p)` the matching span
+accumulator.  Over GF(2), `images` reads the combinations of fixed rows
+from XOR tables of 2**8 entries, one per 8 rows (`_CHUNK`).  `fill` sets
+coordinates that are 0 to every value, which is int addition with no carry
+in either layout.  Elimination (`rref`, `kernel_basis`, `solve`) runs on
+dense residue rows for every p.
 """
 
 from __future__ import annotations
@@ -244,16 +245,18 @@ class FieldVectors(NamedTuple):
     over GF(2) it reads lookup tables built here, at most 2**8 vectors per
     8 rows.  fill(base, cols) lists every vector that agrees with base off
     the coordinates cols, in lexicographic order of its entries at cols,
-    first column slowest; base must be 0 at cols.
+    first column slowest; base must be 0 at cols.  Coordinate j sits at bit
+    j * width, so v << (k * width) moves every coordinate of v up by k.
     """
 
     pack: Callable
     unpack: Callable
     images: Callable
     fill: Callable
+    width: int
 
 
-_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _images_bits, _filler(2, 1))
+_GF2_VECTORS = FieldVectors(pack_bits, unpack_bits, _images_bits, _filler(2, 1), 1)
 
 
 class _Lanes(NamedTuple):
@@ -338,7 +341,7 @@ def _residue_vectors(p: int) -> FieldVectors:
 
         return image
 
-    return FieldVectors(lanes.pack, unpack, images, _filler(p, lanes.width))
+    return FieldVectors(lanes.pack, unpack, images, _filler(p, lanes.width), lanes.width)
 
 
 def vectors(p: int) -> FieldVectors:

@@ -24,6 +24,7 @@ from dimspread.formats import (
 from dimspread.gfp import GF2, FieldSpec, Matrix
 from dimspread.tensor import Tensor3, eval_decomposition, slice_tensor
 
+F3 = FieldSpec(3)
 I2 = Matrix.identity(GF2, 2)
 N2 = Matrix.from_rows(GF2, [[0, 1], [0, 0]])
 NT2 = N2.transpose()
@@ -406,6 +407,40 @@ def test_verify_spreading_sampled_gf13_refuted_frozen(run, tmp_path):
         "counterexample: 1 0 0 12 3\n"
         "counterexample: 0 1 0 8 1\n"
         "counterexample: 0 0 1 6 0\n"
+    )
+
+
+def test_verify_spreading_sampled_above_the_floor_refuted_frozen(run, tmp_path):
+    # Both maps kill e2, e3 and e4, so every 4-space reaches at least 4 - 3;
+    # t = 3 is above that floor and at most s, so the nullities are taken and
+    # every draw is still imaged.  A draw refutes when it contains the common
+    # kernel (4 of the 121 4-spaces), which pins the values drawn before it.
+    fam = MapFamily(F3, 5, (
+        Matrix.from_rows(F3, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]] + [[0] * 5] * 3),
+        Matrix.from_rows(F3, [[0] * 5, [0] * 5, [1, 2, 0, 0, 0], [0] * 5, [2, 1, 0, 0, 0]]),
+    ))
+    code, out, err = run("verify-spreading", family_file(tmp_path, fam), "--s", "4",
+                         "--t", "3", "--samples", "40", "--seed", "2")
+    assert code == 1 and err == ""
+    assert out == (
+        "report: verify-spreading\n"
+        "field: 3\n"
+        "n: 5\n"
+        "maps: 2\n"
+        "s: 4\n"
+        "t: 3\n"
+        "mode: sampled\n"
+        "samples: 40\n"
+        "seed: 2\n"
+        "confidence: refutation-only\n"
+        "verdict: refuted\n"
+        "conclusive: yes\n"
+        "achieved: 2\n"
+        "counterexample_dim: 4\n"
+        "counterexample: 1 0 0 0 0\n"
+        "counterexample: 0 0 1 0 0\n"
+        "counterexample: 0 0 0 1 0\n"
+        "counterexample: 0 0 0 0 1\n"
     )
 
 

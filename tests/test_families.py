@@ -31,7 +31,7 @@ from dimspread.families import (
     words,
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix, vectors
-from dimspread.subspace import grassmann_count
+from dimspread.subspace import enumerate_subspaces, grassmann_count
 from oracles import image_sum_dim, rank_mod_p, replay_draws, rref_mod_p
 
 F3 = FieldSpec(3)
@@ -367,11 +367,12 @@ def count_adds_per_span(monkeypatch) -> list[list]:
 
 @pytest.mark.parametrize("p, n, s", [(2, 6, 3), (3, 5, 2), (5, 5, 3)])
 def test_sampled_spreading_adds_s_images_per_draw(monkeypatch, p, n, s):
-    # With t = s and an invertible first map, the first map's images of a
-    # draw's s basis rows are independent and already reach t: each draw's
-    # image sum stops after exactly s adds, whatever the other maps are.
-    # Each attempt of a draw tests its rows on a span of its own, and the
-    # accepted attempt, the last span made in the draw, adds all s rows.
+    # With t = s and an invertible first map, every draw's image sum reaches
+    # t through that map alone, so the floor s - 0 settles every draw and no
+    # image is added: the only span outside the draws is the first map's
+    # rank test, n adds, which stops at that invertible map.  Each attempt
+    # of a draw tests its rows on a span of its own, and the accepted
+    # attempt, the last span made in the draw, adds all s rows.
     field = FieldSpec(p)
     rng = random.Random(700 + p)
     first = rand_family(field, n, 1, rng).maps[0]
@@ -381,7 +382,7 @@ def test_sampled_spreading_adds_s_images_per_draw(monkeypatch, p, n, s):
     spans = count_adds_per_span(monkeypatch)
     res = verify_spreading(fam, SpreadingParams(s, s), samples=25, seed=p)
     assert res.verified and not res.exhaustive
-    assert [adds for draw, adds in spans if draw is None] == [s] * 25
+    assert [adds for draw, adds in spans if draw is None] == [n]
     accepted = {draw: adds for draw, adds in spans if draw is not None}
     assert accepted == dict.fromkeys(range(25), s)
 
@@ -732,24 +733,35 @@ def shift_words_7():
 
 def test_blocks_fire_at_several_depths():
     # With the need at n, a block is emitted at the shortest prefix of rows
-    # whose images span everything: row 0 alone, or rows 0 and 1.
+    # whose images span everything: row 0 alone, or rows 0 and 1, and every
+    # member shares that prefix.  A prefix one short of n makes a block of
+    # its whole last-row group when no row of the group keeps every image
+    # inside the prefix's span; each member of such a block reaches n.
     fam = shift_words_7()
     d, n = 3, fam.n
     maps = [m.entries for m in fam.maps]
     items = list(families_module._image_sums(fam, {d: n}, None, None, 10**6, "test"))
-    assert sum(count for *_, count in items) == grassmann_count(n, d, 2)
+    subs = list(enumerate_subspaces(n, d, GF2))
+    assert sum(count for *_, count in items) == len(subs)
     depths = set()
+    pos = 0
     for _, rows, a, count in items:
+        members = [sub.basis.row_lists() for sub in subs[pos:pos + count]]
+        pos += count
         basis = families_module._subspace(fam, rows).basis.row_lists()
+        assert basis == members[0]
         if count > 1:
             assert a == n
             depth = next(k for k in range(1, d + 1)
                          if image_sum_dim(maps, basis[:k], n, 2) == n)
-            assert depth < d
             depths.add(depth)
+            if depth < d:
+                assert all(m[:depth] == basis[:depth] for m in members)
+            else:
+                assert all(image_sum_dim(maps, m, n, 2) == n for m in members)
         else:
             assert a == min(n, image_sum_dim(maps, basis, n, 2))
-    assert depths == {1, 2}
+    assert depths == {1, 2, 3}
 
 
 def test_scan_checks_its_counts():
@@ -781,17 +793,19 @@ def count_items(monkeypatch):
 def test_scan_stops_at_a_proven_minimum(monkeypatch):
     # Work counter: on symmetrized dyadic n=7 the scan of dim 2 proves
     # f(2) = 6, so dim 3 stops once its running minimum reaches 6, at item
-    # 212 of the 1,039 a full walk yields.  The rest of that leaf group, the
+    # 152 of the 979 a full walk yields.  The rest of that leaf group, the
     # rest of its cell and each later cell make 41 more items.  Dim 4 has
     # f(4) = 7 > f(3) and is walked in full; f(4) = n then settles dims 5
-    # to 7 before their scans, one block per Schubert cell.
+    # to 7 before their scans, one block per Schubert cell.  Last-row groups
+    # one short of the need that no row keeps inside the prefix's span are
+    # one item each.
     fam = symmetrize(matching_maps(dyadic_matchings(7), GF2))
     items = count_items(monkeypatch)
     assert measure_expansion(fam).per_dimension == ((1, 4), (2, 6), (3, 6))
-    assert items == {1: 127, 2: 731, 3: 253}
+    assert items == {1: 127, 2: 387, 3: 193}
     items.clear()
     assert spreading_profile(fam) == ((1, 4), (2, 6), (3, 6), (4, 7), (5, 7), (6, 7), (7, 7))
-    assert items == {1: 127, 2: 731, 3: 253, 4: 1001, 5: 21, 6: 7, 7: 1}
+    assert items == {1: 127, 2: 387, 3: 193, 4: 998, 5: 21, 6: 7, 7: 1}
 
 
 def test_identity_settles_a_dimension_without_a_scan(monkeypatch):
@@ -803,6 +817,87 @@ def test_identity_settles_a_dimension_without_a_scan(monkeypatch):
     for t in range(5):
         assert verify_spreading(fam, SpreadingParams(4, t)).verified
     assert items == {4: 5 * math.comb(7, 4)}
+
+
+def cyclic_shift(field, n):
+    return Matrix(field, n, n, tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)))
+
+
+def test_an_invertible_map_settles_t_at_most_s_without_an_image(monkeypatch):
+    # Work counter: an invertible map A, here a cyclic shift after a singular
+    # map, gives dim(A U) = d, so the floor is d as with the identity.  Every
+    # t <= s is then settled before any image is taken: one block per
+    # Schubert cell when exhaustive, and each draw made but none imaged when
+    # sampled.
+    n, samples = 5, 6
+    built = count_image_tables(monkeypatch)
+    items = count_items(monkeypatch)
+    for p in (2, 3, 5):
+        field = FieldSpec(p)
+        singular = Matrix(field, n, n, tuple(int(i == j < n - 1) for i in range(n)
+                                             for j in range(n)))
+        fam = MapFamily(field, n, (singular, cyclic_shift(field, n)))
+        items.clear()
+        for s in range(1, n + 1):
+            for t in range(s + 1):
+                assert verify_spreading(fam, SpreadingParams(s, t)).verified
+                res = verify_spreading(fam, SpreadingParams(s, t), samples=samples, seed=t)
+                assert res.verified and not res.exhaustive
+        assert built == []
+        assert items == {s: (s + 1) * (math.comb(n, s) + samples) for s in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_singular_maps_give_the_floor_d_minus_the_least_nullity(p, monkeypatch):
+    # Maps of ranks 3, 2 and 3 on GF(p)^5 (rows beyond the rank are zero):
+    # the least nullity is 2, and it is found by adding each map's rows.  A
+    # dim-d need at or below d - 2 is settled cell by cell at exactly d - 2
+    # before any image is taken; a need of d - 1 is scanned.
+    field, n = FieldSpec(p), 5
+    rng = random.Random(900 + p)
+    maps = []
+    for rank in (3, 2, 3):
+        while True:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+            if rank_mod_p(rows, p) == rank:
+                break
+        maps.append(Matrix.from_rows(field, rows + [[0] * n] * (n - rank)))
+    fam = MapFamily(field, n, tuple(maps))
+    assert min(n - rank_mod_p(m.row_lists(), p) for m in fam.maps) == 2
+    assert families_module._least_nullity(fam, vectors(p)) == 2
+    built = count_image_tables(monkeypatch)
+    for d in range(3, n + 1):
+        for t in (0, d - 2):
+            items = list(families_module._image_sums(fam, {d: t}, None, None, 10**6, "test"))
+            assert [a for _, _, a, _ in items] == [d - 2] * math.comb(n, d)
+            assert sum(count for *_, count in items) == grassmann_count(n, d, p)
+    assert built == []
+    list(families_module._image_sums(fam, {n: n - 1}, None, None, 10**6, "test"))
+    assert built != []
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_settled_sampled_draws_keep_the_rng_stream(p, monkeypatch):
+    # The floor decides each draw, but every draw is still made: the
+    # sampler is called `samples` times per dimension, and the draws are
+    # the ones the replay of the seeded stream gives.
+    field, n, samples, seed = FieldSpec(p), 6, 9, 11
+    fam = MapFamily(field, n, (cyclic_shift(field, n),)
+                    + rand_family(field, n, 2, random.Random(p)).maps)
+    drawn, real = [], families_module.sample_with_rng
+
+    def sample_with_rng(n, s, *args):
+        drawn.append((s, real(n, s, *args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(families_module, "sample_with_rng", sample_with_rng)
+    assert verify_spreading(fam, SpreadingParams(4, 4), samples=samples, seed=seed).verified
+    unpack = vectors(p).unpack
+    got = [tuple(rref_mod_p([unpack(v, n) for v in rows], p)) for _, rows in drawn]
+    assert got == replay_draws(n, 4, p, random.Random(seed), samples)
+    drawn.clear()
+    measure_expansion(fam, samples=samples, seed=seed)
+    assert [s for s, _ in drawn] == [d for d in range(1, n // 2 + 1) for _ in range(samples)]
 
 
 def test_each_dimension_is_budgeted_once(monkeypatch):
@@ -827,12 +922,13 @@ def test_each_dimension_is_budgeted_once(monkeypatch):
 
 
 @pytest.mark.parametrize("fam, need, items, subspaces", [
-    (shift_words_7(), {3: 7}, 806, 11811),
-    (matching_maps(shift_matchings(6), GF2), {4: 6, 5: 6}, 329, 714),
+    (shift_words_7(), {3: 7}, 746, 11811),
+    (matching_maps(shift_matchings(6), GF2), {4: 6, 5: 6}, 320, 714),
 ], ids=["shift-words-7", "shift-6"])
 def test_scan_skips_decided_subtrees(fam, need, items, subspaces):
     # Work counter: a scan that walks every subspace below a prefix that
-    # already reaches the need yields one item per subspace instead.
+    # already reaches the need, or every row of a last-row group that the
+    # group test settles, yields one item per subspace instead.
     scan = list(families_module._image_sums(fam, need, None, None, 10**6, "test"))
     assert len(scan) == items
     assert sum(count for *_, count in scan) == subspaces

@@ -319,3 +319,80 @@ def test_split_last_rows_match_slow_route(fam, cap, monkeypatch):
     check_exhaustive(fam)
     check_large(symmetrize(fam))
 
+
+
+# The group test.  A prefix whose span S is one short of the need settles
+# its whole last-row group at once when no row of the group keeps every
+# image inside S, and the group is walked row by row when one does.  The
+# table cap p**2 splits every one-row cell of n = 4 with three free entries
+# into one head entry and a two-entry tail, so d = 1 groups are split cells.
+# The kernel family's maps all send (1, ..., 1) to zero, so exactly one d = 1
+# group holds a row below the need 1, and at d >= 2 every group one short of
+# the need holds a row inside S; the sparse family's groups settle at d >= 2.
+def kernel_family(field, n, rng):
+    """Two random maps whose column 0 is minus the sum of the others."""
+    p = field.modulus
+    maps = []
+    for _ in range(2):
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        for row in rows:
+            row[0] = -sum(row[1:]) % p
+        maps.append(Matrix(field, n, n, tuple(x for row in rows for x in row)))
+    return MapFamily(field, n, tuple(maps))
+
+
+def check_group_items(fam, scan, need, lower):
+    """Drive `_image_sums` as `_first_violation` does (need fixed) or as
+    `_minima` does (lower: the need follows the running minimum).  Each
+    item stands for the next subspaces of the slow route's order: every one
+    reaches a, a value below the need is exact and stands alone, and every
+    member of a block reaches the need."""
+    start = {}
+    for i, (d, _, _) in enumerate(scan):
+        start.setdefault(d, i)
+    pos = {d: start[d] for d in need}
+    for d, rows, a, count in families_module._image_sums(fam, need, None, None, 10**6, "test"):
+        members = scan[pos[d]:pos[d] + count]
+        assert len(members) == count and all(want_d == d for want_d, _, _ in members)
+        assert families_module._subspace(fam, rows) == members[0][1]
+        assert all(exact >= a for _, _, exact in members)
+        if a < need[d]:
+            assert count == 1 and a == members[0][2]
+        else:
+            assert all(exact >= need[d] for _, _, exact in members)
+        if lower and (pos[d] == start[d] or a < need[d]):
+            need[d] = a
+        pos[d] += count
+    assert all(pos[d] == start[d] + sum(row[0] == d for row in scan) for d in need)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_group_test_matches_slow_route(p, monkeypatch):
+    field, n = FieldSpec(p), 4
+    monkeypatch.setattr(families_module, "_TABLE_CAP", p ** 2)
+    settled, real = [], families_module._group_reaches
+
+    def group_reaches(*args):
+        settled.append(real(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(families_module, "_group_reaches", group_reaches)
+    outcomes = set()
+    for fam in (kernel_family(field, n, random.Random(p)),
+                sparse_family(field, n, random.Random(40 + p))):
+        dims = range(1, n + 1)
+        scan = list(slow_scan(fam, dims))
+        for d in dims:
+            for t in range(n + 1):
+                settled.clear()
+                check_group_items(fam, scan, {d: t}, lower=False)
+                outcomes |= {(d == 1, done) for done in settled}
+                want = expected_result(first_violation(scan, {d: t}))
+                assert verify_spreading(fam, SpreadingParams(d, t)) == want
+        check_group_items(fam, scan, {d: n for d in dims}, lower=True)
+        mins = minima(scan)
+        assert spreading_profile(fam) == tuple((d, mins[d][0]) for d in dims)
+        low = [row for row in scan if row[0] <= n // 2]
+        assert measure_expansion(fam) == expected_report(minima(low), True)
+    # d = 1 split cells and d >= 2, groups that settle and groups walked
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
