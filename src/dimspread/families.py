@@ -40,13 +40,13 @@ its scan starts, and once its need is at or below the floor the rest of
 the dimension is decided: one block per Schubert cell, with nothing built.
 The floor is the larger of two bounds.  The image sum of U contains A U
 for each map A, and dim(A U) >= d - nullity(A), so every dim-d image sum
-has dim >= d - k for the least nullity k over the maps (`_least_nullity`;
-0 for the identity, seen from its entries), and a family with an
-invertible map settles a spreading threshold t <= s with no scan.  A dim-d
-subspace contains a dim-(d-1) one, whose image sum lies in its own, so
-f(d) >= f(d-1) for the least image-sum dim f; f(d-1) is proven once the
-scan of dim d-1 has covered every subspace, and a measuring scan stops
-dim d when its running minimum reaches that bound.  The minimum only
+has dim >= d - k for the least nullity k over the maps (`_least_nullity`),
+and a family with an invertible map, such as the identity, settles a
+spreading threshold t <= s with no scan.  A dim-d subspace contains a
+dim-(d-1) one, whose image sum lies in its own, so f(d) >= f(d-1) for
+the least image-sum dim f; f(d-1) is proven once the scan of dim d-1 has
+covered every subspace, and a measuring scan stops dim d when its running
+minimum reaches that bound.  The minimum only
 moves on a strictly lower value, so the witness stays the first subspace
 that attains it.  Sampled scans use d - k alone: a draw whose need is at
 or below it is still made, but takes no image.
@@ -599,10 +599,8 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     binomials computed for the budget), so the first subspace a caller picks
     is the canonical first.  Each dim is scanned with its proven floor: the
     larger of d - k, for k the least nullity over the maps, and the least
-    value the scan of d - 1 proved when that scan came just before it.  k is
-    0 when the family holds the identity; otherwise it is computed, after
-    the budget check, only when some need[d] <= d, since d - k is at most d
-    (else k is taken as n, no floor).  Sampled mode checks samples *
+    value the scan of d - 1 proved when that scan came just before it; k is
+    computed after the budget check.  Sampled mode checks samples *
     len(need) draws against the same budget, then draws `samples` subspaces
     per dimension from one RNG seeded with `seed` (through the module name
     `sample_with_rng`, once per draw, with `_independent` as its rank test).
@@ -627,17 +625,7 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
         raise BudgetExceeded(stage, total, enumeration_cap)
     vec = vectors(p)
     images = _map_images(fam, vec)
-    # A floor d - nullity is at most d, so it can settle a dimension only
-    # once its need is at most d.  The identity's nullity, 0, is seen from
-    # its entries (a 1, then n zeros before each next 1); any other map's
-    # costs a rank, taken only when some need is already that low.
-    eye = (1,) + ((0,) * fam.n + (1,)) * (fam.n - 1)
-    if any(m.entries == eye for m in fam.maps):
-        nullity = 0
-    elif any(need[d] <= d for d in need):
-        nullity = _least_nullity(fam, vec)
-    else:
-        nullity = fam.n
+    nullity = _least_nullity(fam, vec)
     if samples is None:
         units = [vec.pack((0,) * c + (1,)) for c in range(fam.n)]
         proven = {}

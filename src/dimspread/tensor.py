@@ -225,9 +225,7 @@ def min_spanning_rank_ones(
     leave J unchanged and share the node's table.  The keys come from the
     parent: a node at dimension r - 2 reduces its pool once, and a pick that
     raises J to r - 1 inserts one row, by which alone `line_keys` reduces
-    those residues.  While J is still the slice span, as at the roots of
-    the attempts at dim(slices) + 0, 1 and 2, the residues are the pool's
-    modulo the slices, reduced once per search as they are first read.
+    those residues.  A root within one of r reduces its pool once itself.
 
     No set of pool vectors inside J spans J, since r - 1 of them would span
     the slices and the search at r - 1 would have returned them.  So a
@@ -270,16 +268,6 @@ def min_spanning_rank_ones(
     pool_vecs = [outer(g) for g in map(pack, _proj_reps(p, d2)) for outer in outers]
 
     steps = 0
-    reduced: list = []  # the pool's residues modulo the slice span, as far as read
-
-    def base_residues():
-        # The roots of attempts r0 to r0 + 2 each read the pool modulo the
-        # slice span; each vector is reduced once per search, when first read,
-        # so a rank-r0 search that completes early reduces no more.
-        yield from reduced
-        for v in pool_vecs[len(reduced):]:
-            reduced.append(base.reduce(v))
-            yield reduced[-1]
 
     def attempt(r: int) -> tuple[int, ...] | None:
         nonlocal steps
@@ -377,10 +365,7 @@ def min_spanning_rank_ones(
             nonlocal steps
             res = None
             if joint.dim == r - 2:
-                if joint.dim == r0:  # every pick so far lies in the slice span
-                    res = list(base_residues())[start:]
-                else:
-                    res = [joint.reduce(v) for v in pool_vecs[start:]]
+                res = [joint.reduce(v) for v in pool_vecs[start:]]
             for i in range(start, pool_n - (r - len(chosen)) + 1):
                 steps += 1
                 if steps > step_cap:
@@ -407,9 +392,9 @@ def min_spanning_rank_ones(
         if joint.dim < r - 1:
             found = dfs(0)
         else:
-            # At r the pool members of joint are the zero residues; at r - 1
-            # any row keys the full residues.
-            res = base_residues()
+            # The root reduces the pool once.  At r the pool members of joint
+            # are the zero residues; at r - 1 any row keys the full residues.
+            res = map(joint.reduce, pool_vecs)
             if joint.dim == r:
                 found = complete(i for i, v in enumerate(res) if not v)
             else:

@@ -847,6 +847,20 @@ def test_an_invertible_map_settles_t_at_most_s_without_an_image(monkeypatch):
         assert items == {s: (s + 1) * (math.comb(n, s) + samples) for s in range(1, n + 1)}
 
 
+def test_an_invertible_map_floors_measure(monkeypatch):
+    # Work counter: {C, C^2} for the cyclic shift C of GF(2)^8 holds no
+    # identity, but C is invertible, so `measure` stops each dimension once
+    # its running minimum reaches d (the all-ones line is fixed by both
+    # maps, so each minimum is d).  Without that floor the scan yields
+    # {1: 136, 2: 895, 3: 12869, 4: 9886} items.
+    n = 8
+    shift = cyclic_shift(GF2, n)
+    fam = MapFamily(GF2, n, (shift, shift @ shift))
+    items = count_items(monkeypatch)
+    assert measure_expansion(fam).per_dimension == ((1, 1), (2, 2), (3, 3), (4, 4))
+    assert items == {1: 135, 2: 197, 3: 940, 4: 2215}
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_singular_maps_give_the_floor_d_minus_the_least_nullity(p, monkeypatch):
     # Maps of ranks 3, 2 and 3 on GF(p)^5 (rows beyond the rank are zero):
