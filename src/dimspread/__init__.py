@@ -6,6 +6,8 @@ Everything is exact integer arithmetic; every verdict is either exhaustive
 (a certificate) or explicitly labeled as sampled.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certify import (
     LowerBoundCertificate,
     RefutationTrace,
@@ -68,29 +70,7 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # fields and matrices
-    "FieldSpec", "GF2", "Matrix", "rref", "kernel_basis", "solve",
-    # subspaces
-    "Subspace", "span_of", "apply_map", "kernel",
-    "grassmann_count", "enumerate_subspaces", "sample_subspace",
-    # families
-    "MapFamily", "SpreadingParams", "SpreadingResult", "ExpansionReport",
-    "LargeExpansionRecord", "LargeExpansionResult", "Matching",
-    "symmetrize", "words", "word_length_for", "matching_maps",
-    "shift_matchings", "dyadic_matchings", "verify_spreading",
-    "verify_expander", "measure_expansion", "verify_large_expansion",
-    "spreading_profile",
-    # tensors
-    "Tensor3", "RankOneTerm", "Decomposition", "slice_tensor",
-    "eval_decomposition", "min_spanning_rank_ones",
-    "reconstruct_decomposition", "tensor_rank",
-    # certification
-    "rank_bound", "LowerBoundCertificate", "certify_lower_bound",
-    "RefutationTrace", "refute_spreading", "check_trace", "family_tensor",
-    # errors
-    "BudgetExceeded", "NotSpreading", "ClosureViolation",
-    "DecompositionMismatch", "TooManyTerms", "SpanFailure",
-    "MonotonicityViolation", "TraceInvariantViolation",
-]
+# The names imported above, without the submodules the imports bind.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))

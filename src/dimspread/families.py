@@ -10,55 +10,12 @@ is flagged as non-conclusive.  Both modes are budgeted by one cap before any
 work: the Gaussian binomials of the scanned dimensions when exhaustive, the
 number of draws when sampled.
 
-Exhaustive scans walk each Grassmannian one Schubert cell at a time on
-packed basis rows (`_grassmann_scan`, set up once per dimension), and each
-cell's rows as a tree.  The span of the images of rows 0..k-1 is built once
-per prefix of free values and shared by every subspace that extends it.
-Once it reaches what the caller needs, the whole subtree below the prefix is
-decided and comes out as one block: its first subspace, the span's dim and
-its member count.  An undecided subspace adds only the images of its last
-row, read from per-map last-row tables, each built once per cell when a
-subspace first reads it.  Only a one-row cell caps its tables at
-`_TABLE_CAP` entries: a longer row moves its leading free entries into the
-prefix, and its tables are built once per prefix.  Every image under a map
-comes from that map's image function (`_map_images`), whose lookup tables
-are built the first time a scan needs the map.
-Adding stops as soon as the span reaches the need: the threshold when
-verifying, the least value found so far when measuring, n for the
-large-subspace records.  A span one short of the need only tests the next
-row's images for membership, up to the first one outside it; when that row
-is the last, with two or more free entries, one linear test on the
-residues of its group (`_group_reaches`) first decides whether every row
-of the group leaves the span, and if so the group is one block.  The
-block and subspace counts of each dimension are checked against its
-Gaussian binomial.  A `Subspace` is built only for the counterexample or
-witness reported, which is the same canonical first one a
-subspace-by-subspace walk finds.
-
-Each dimension is scanned with a floor, a least image-sum dim proven before
-its scan starts, and once its need is at or below the floor the rest of
-the dimension is decided: one block per Schubert cell, with nothing built.
-The floor is the larger of two bounds.  The image sum of U contains A U
-for each map A, and dim(A U) >= d - nullity(A), so every dim-d image sum
-has dim >= d - k for the least nullity k over the maps (`_least_nullity`),
-and a family with an invertible map, such as the identity, settles a
-spreading threshold t <= s with no scan.  A dim-d subspace contains a
-dim-(d-1) one, whose image sum lies in its own, so f(d) >= f(d-1) for
-the least image-sum dim f; f(d-1) is proven once the scan of dim d-1 has
-covered every subspace, and a measuring scan stops dim d when its running
-minimum reaches that bound.  The minimum only
-moves on a strictly lower value, so the witness stays the first subspace
-that attains it.  Sampled scans use d - k alone: a draw whose need is at
-or below it is still made, but takes no image.
-
-Sampled scans draw through `sample_with_rng` with a rank test of their
-own (`_independent`): an attempt is packed and its rows added to one row
-span, and it is full rank when every add grows the span.  The draw stays
-the rows as drawn, since an image sum does not depend on the basis, and
-its images are added, map by map, under the same rule, so a draw that
-reaches the need costs no more adds than it takes to get there.  No draw
-is reduced to its canonical basis in the scan: as in the exhaustive scan,
-only the draw reported becomes a `Subspace`, by `span_of`.
+Exhaustive scans walk each Grassmannian one Schubert cell at a time.  Runs
+of subspaces that all reach the need come out as blocks, and the counts of
+each dimension are checked against its Gaussian binomial.  Only the
+counterexample or witness reported becomes a `Subspace`, and it is the
+canonical first one.  `_grassmann_scan` describes the walk and its blocks;
+`_image_sums` describes the proven floors and the sampled draws.
 
 Every scan runs in one thread.
 """
@@ -444,15 +401,19 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
     also stand for one last-row group.  The caller may lower need[d]
     between items.
 
-    `floor` is a proven lower bound on every dim-d image sum.  Once need[d]
-    is at or below it, every subspace not yet covered reaches the need: the
-    odometer's next position starts one block for the rest of its cell, and
-    each later cell is one block, all with a = floor, and nothing more is
-    built.  The counts, summed per prefix, block or cell, must come to
-    `nominal`, the dimension's Gaussian binomial; RuntimeError otherwise.
-    Returns the least image-sum dim the scan has proven for the dimension:
-    need[d] at the end, or the least a yielded below the need at the time,
-    if lower.
+    `floor` is a proven lower bound on every dim-d image sum, so once
+    need[d] is at or below it, every subspace not yet covered reaches the
+    need.  Three rules then yield the rest, each item at a = floor with
+    nothing built.  A cell not yet begun is one block.  A step starts with
+    a = floor, not the span's dim, so the block rule above yields the rest
+    of row k's values, and the carry the rest of the cell one row range at
+    a time.  A leaf walk that finds the need lowered to the floor yields the
+    rest of its group as one block.
+
+    The counts, summed per prefix, block or cell, must come to `nominal`,
+    the dimension's Gaussian binomial; RuntimeError otherwise.  Returns the
+    least image-sum dim the scan has proven for the dimension: need[d] at
+    the end, or the least a yielded below the need at the time, if lower.
     """
     p, n = fam.field.modulus, fam.n
     vec = vectors(p)
@@ -482,7 +443,7 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
                    for r, cols in enumerate(free[:last] + (head,))]
         # below[r]: subspaces in the subtree of one value of rows 0..r-1
         below = [p ** len(tail)] * (d + 1)
-        for r in range(last, -1, -1):
+        for r in range(last, 0, -1):
             below[r] = below[r + 1] * len(choices[r])
         idx = [0] * d
         cur = [c[0] for c in choices]
@@ -493,13 +454,8 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
             # rows 0..k-1 are unchanged since spans[k] was built, and every
             # index after k is 0
             target = need[d]
-            if target <= floor:
-                count = below[0] - sum(i * below[r + 1] for r, i in enumerate(idx))
-                covered += count
-                yield d, tuple(cur), floor, count
-                break
             span = spans[k]
-            a = span.dim
+            a = floor if target <= floor else span.dim
             while a < target and k < last:
                 row = cur[k]
                 if a == target - 1:
@@ -559,6 +515,9 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
                             least = a
                     yield d, rows + (row,), a, 1
                     target = need[d]
+                    if target <= floor and x + 1 < len(lasts):
+                        yield d, rows + (lasts[x + 1],), floor, len(lasts) - x - 1
+                        break
             # next value of row k, carrying into earlier rows
             while k >= 0:
                 i = idx[k] + 1
@@ -598,9 +557,11 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     order (`_grassmann_scan`, which checks its counts against the Gaussian
     binomials computed for the budget), so the first subspace a caller picks
     is the canonical first.  Each dim is scanned with its proven floor: the
-    larger of d - k, for k the least nullity over the maps, and the least
-    value the scan of d - 1 proved when that scan came just before it; k is
-    computed after the budget check.  Sampled mode checks samples *
+    larger of d - k, for k the least nullity over the maps (the image sum
+    of U contains A U, of dim >= d - nullity(A)), and the least value the
+    scan of d - 1 proved when that scan came just before it (a dim-d
+    subspace contains a dim-(d-1) one, whose image sum lies in its own); k
+    is computed after the budget check.  Sampled mode checks samples *
     len(need) draws against the same budget, then draws `samples` subspaces
     per dimension from one RNG seeded with `seed` (through the module name
     `sample_with_rng`, once per draw, with `_independent` as its rank test).
@@ -720,9 +681,11 @@ def _minima(fam: MapFamily, dims: Sequence[int], samples: int | None, seed: int 
     Once a dimension has a minimum, a subspace only needs to reach it to be
     ruled out, so the scan counts no further, and a block of subspaces that
     all reach it is ruled out whole.  A dimension's first item seeds the
-    minimum with the canonical first subspace, block or not.  Once the
-    minimum reaches the dimension's proven floor, the scan yields the rest
-    as blocks at the floor, which leave it as it is.
+    minimum with the canonical first subspace, block or not.  The minimum
+    moves only on a strictly lower value, so the witness is the first
+    subspace that attains it.  Once the minimum reaches the dimension's
+    proven floor, the scan yields the rest as blocks at the floor, which
+    leave it as it is.
     """
     need = {d: fam.n for d in dims}
     best: dict[int, tuple[int, tuple]] = {}

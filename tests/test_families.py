@@ -793,19 +793,20 @@ def count_items(monkeypatch):
 def test_scan_stops_at_a_proven_minimum(monkeypatch):
     # Work counter: on symmetrized dyadic n=7 the scan of dim 2 proves
     # f(2) = 6, so dim 3 stops once its running minimum reaches 6, at item
-    # 152 of the 979 a full walk yields.  The rest of that leaf group, the
-    # rest of its cell and each later cell make 41 more items.  Dim 4 has
-    # f(4) = 7 > f(3) and is walked in full; f(4) = n then settles dims 5
-    # to 7 before their scans, one block per Schubert cell.  Last-row groups
-    # one short of the need that no row keeps inside the prefix's span are
-    # one item each.
+    # 152 of the 979 a full walk yields, the first leaf of a last-row group
+    # of 8.  The other 7 rows of that group are one block, the rest of its
+    # cell is one block per prefix row (2), and each of the 33 later cells
+    # is one: 36 more items.  Dim 4 has f(4) = 7 > f(3) and is walked in
+    # full; f(4) = n then settles dims 5 to 7 before their scans, one block
+    # per Schubert cell.  Last-row groups one short of the need that no row
+    # keeps inside the prefix's span are one item each.
     fam = symmetrize(matching_maps(dyadic_matchings(7), GF2))
     items = count_items(monkeypatch)
     assert measure_expansion(fam).per_dimension == ((1, 4), (2, 6), (3, 6))
-    assert items == {1: 127, 2: 387, 3: 193}
+    assert items == {1: 127, 2: 387, 3: 188}
     items.clear()
     assert spreading_profile(fam) == ((1, 4), (2, 6), (3, 6), (4, 7), (5, 7), (6, 7), (7, 7))
-    assert items == {1: 127, 2: 387, 3: 193, 4: 998, 5: 21, 6: 7, 7: 1}
+    assert items == {1: 127, 2: 387, 3: 188, 4: 998, 5: 21, 6: 7, 7: 1}
 
 
 def test_identity_settles_a_dimension_without_a_scan(monkeypatch):
@@ -851,14 +852,16 @@ def test_an_invertible_map_floors_measure(monkeypatch):
     # Work counter: {C, C^2} for the cyclic shift C of GF(2)^8 holds no
     # identity, but C is invertible, so `measure` stops each dimension once
     # its running minimum reaches d (the all-ones line is fixed by both
-    # maps, so each minimum is d).  Without that floor the scan yields
+    # maps, so each minimum is d).  The rest of the last-row group where the
+    # minimum reaches d is one block, and so is the rest of each prefix
+    # row's values in that cell.  Without that floor the scan yields
     # {1: 136, 2: 895, 3: 12869, 4: 9886} items.
     n = 8
     shift = cyclic_shift(GF2, n)
     fam = MapFamily(GF2, n, (shift, shift @ shift))
     items = count_items(monkeypatch)
     assert measure_expansion(fam).per_dimension == ((1, 1), (2, 2), (3, 3), (4, 4))
-    assert items == {1: 135, 2: 197, 3: 940, 4: 2215}
+    assert items == {1: 135, 2: 156, 3: 930, 4: 2204}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

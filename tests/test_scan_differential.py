@@ -36,6 +36,7 @@ from dimspread.subspace import (
     apply_map,
     enumerate_subspaces,
     span_of,
+    subspace_cells,
 )
 from oracles import replay_draws
 
@@ -396,3 +397,87 @@ def test_group_test_matches_slow_route(p, monkeypatch):
         assert measure_expansion(fam) == expected_report(minima(low), True)
     # d = 1 split cells and d >= 2, groups that settle and groups walked
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# The proven floor.  Once a measuring scan's minimum reaches the floor of
+# its dimension, every subspace not yet yielded reaches the need: the rest
+# of the last-row group being walked is one block, the rest of each prefix
+# row's values in the cell one block, and each later cell one block.
+# {C, C^2}, for C the cyclic shift, has the invertible map C, so its floor is
+# d, and each minimum is d (both maps fix the all-ones line).  The sparse
+# family's floor is d minus the least nullity of its singular maps; the
+# symmetrized families hold the identity, so theirs is the larger of d and
+# f(d - 1).
+def shift_pair(field, n):
+    shift = Matrix(field, n, n, tuple(int(j == (i + 1) % n) for i in range(n) for j in range(n)))
+    return MapFamily(field, n, (shift, shift @ shift))
+
+
+def floor_cases(field, n):
+    sparse = sparse_family(field, n, random.Random(77 + field.modulus))
+    return [shift_pair(field, n), sparse, symmetrize(sparse), symmetrized_dyadic(field, n)]
+
+
+def floor_blocks(fam, items):
+    """Kinds of the items yielded once the need was at or below the floor:
+    whole cells, the rest of a last-row group, or a range of a prefix row's
+    values.  Each must be a block of one cell at the floor."""
+    p, n = fam.field.modulus, fam.n
+    kinds, pos = [], {}
+    for d, _, a, count, need, floor in items:
+        if need <= floor:
+            assert a == floor
+            offset = pos.get(d, 0)
+            for _, free in subspace_cells(n, d):
+                size = p ** sum(map(len, free))
+                if offset < size:
+                    break
+                offset -= size
+            group = p ** len(free[-1])
+            assert offset + count <= size
+            if offset == 0 and count == size:
+                kinds.append("cell")
+            elif offset % group:
+                assert (offset + count) % group == 0
+                kinds.append("group")
+            else:
+                assert count % group == 0
+                kinds.append("rows")
+        pos[d] = pos.get(d, 0) + count
+    return kinds
+
+
+@pytest.mark.parametrize("p, n", ((2, 5), (3, 4), (5, 3)))
+def test_floor_blocks_match_slow_route(p, n, monkeypatch):
+    # Each item is recorded with the need as it is yielded, before the caller
+    # lowers it, and with the floor `_grassmann_scan` was given.
+    items, real = [], families_module._grassmann_scan
+
+    def recorded(fam, images, units, d, need, nominal, floor):
+        scan = real(fam, images, units, d, need, nominal, floor)
+        while True:
+            try:
+                item = next(scan)
+            except StopIteration as stop:
+                return stop.value
+            items.append(item + (need[d], floor))
+            yield item
+
+    monkeypatch.setattr(families_module, "_grassmann_scan", recorded)
+    kinds = set()
+    for fam in floor_cases(FieldSpec(p), n):
+        dims = range(1, n + 1)
+        scan = list(slow_scan(fam, dims))
+        for d in dims:
+            for t in range(n + 1):
+                items.clear()
+                check_group_items(fam, scan, {d: t}, lower=False)
+                assert set(floor_blocks(fam, items)) <= {"cell"}
+        items.clear()
+        check_group_items(fam, scan, {d: n for d in dims}, lower=True)
+        kinds |= set(floor_blocks(fam, items))
+        mins = minima(scan)
+        assert spreading_profile(fam) == tuple((d, mins[d][0]) for d in dims)
+    # a need at or below the floor from the start settles whole cells; one
+    # lowered to it mid-cell settles the rest of a group and row ranges
+    assert kinds == {"cell", "group", "rows"}
