@@ -465,7 +465,9 @@ class _RowSpan:
     congruent to its vector modulo the span and zero at the lead of every
     row but row pos.  Two kinds meet this: residues that `reduce` took
     before the add that returned token pos, and full residues, which row
-    pos leaves unchanged.
+    pos leaves unchanged.  Keys an earlier `line_keys` gave before that add
+    serve as well: over GF(2) they are such residues, and over odd p the
+    residues of nonzero multiples of their vectors, which key the same lines.
     """
 
     __slots__ = ("rows",)

@@ -9,9 +9,11 @@ is at most the cap, and a proof of "rank exceeds the cap" otherwise.  Once
 the span of the chosen matrices and the slices is full (dimension r), the
 rest of a branch is a basis completion in a linear matroid, which one
 greedy pass settles in place of a walk over its combinations.  The
-candidates of that pass are found by lookup: a node one dimension short
-groups the pool by the line of each residue, keyed from its parent's
-residues by one row, and walks only the picks that can still complete.
+candidates of that pass are found by lookup: the pool's residues modulo
+the slice span are keyed by line once per search, each node takes its keys
+from its parent, re-keyed by one row when its pick grows the joint span,
+and a node one dimension short walks only the picks that can still
+complete.
 """
 
 from __future__ import annotations
@@ -171,14 +173,8 @@ def _proj_reps(p: int, k: int) -> list[tuple[int, ...]]:
 
     One representative per projective class; there are (p**k - 1)//(p - 1).
     """
-    out = []
-    for v in itertools.product(range(p), repeat=k):
-        for x in v:
-            if x:
-                if x == 1:
-                    out.append(v)
-                break
-    return out
+    return [(0,) * z + (1,) + rest for z in reversed(range(k))
+            for rest in itertools.product(range(p), repeat=k - z - 1)]
 
 
 def pool_size(p: int, d2: int, d3: int) -> int:
@@ -221,11 +217,12 @@ def min_spanning_rank_ones(
     scaled to a unit first entry over odd p).  A pick v outside J makes
     J + <v> full, and w lies in it exactly when w's residue is zero or on
     v's line; so the pass walks the indices after v with key 0 or key(v),
-    merged in index order, and makes no membership test.  Picks with key 0
-    leave J unchanged and share the node's table.  The keys come from the
-    parent: a node at dimension r - 2 reduces its pool once, and a pick that
-    raises J to r - 1 inserts one row, by which alone `line_keys` reduces
-    those residues.  A root within one of r reduces its pool once itself.
+    merged in index order, and makes no membership test.  Every node keys
+    its pool the same way, from its parent: the root's keys are the slice
+    span's, reduced and keyed once per search; a pick with key 0 leaves J
+    unchanged, so its child shares the keys (and at r - 1 the table); any
+    other pick inserts one row into J, by which alone `line_keys` re-keys
+    the later indices.
 
     No set of pool vectors inside J spans J, since r - 1 of them would span
     the slices and the search at r - 1 would have returned them.  So a
@@ -267,6 +264,8 @@ def min_spanning_rank_ones(
               for h in _proj_reps(p, d3)]
     pool_vecs = [outer(g) for g in map(pack, _proj_reps(p, d2)) for outer in outers]
 
+    # The pool is keyed modulo the slice span once; every attempt reads it.
+    root_keys = base.line_keys(0, map(base.reduce, pool_vecs))
     steps = 0
 
     def attempt(r: int) -> tuple[int, ...] | None:
@@ -279,7 +278,7 @@ def min_spanning_rank_ones(
             # span(chosen) + span(slices) has dimension r and cands are the
             # remaining pool indices inside it, ascending: the remaining picks
             # are a basis completion of cur among them, and the greedy pass by
-            # index finds the first.  A pick remains: from `attempt` none is
+            # index finds the first.  A pick remains: from the root none is
             # made, and from `close` depth <= r - 2 before its pick.
             nonlocal steps
             need = r - len(chosen)
@@ -357,15 +356,16 @@ def min_spanning_rank_ones(
                 cur.remove(tok_c)
             return False
 
-        def dfs(start: int) -> bool:
-            # joint.dim <= r - 2 here, and the chosen matrices are independent
-            # and lie in joint, so depth <= joint.dim < r.  At r - 2 the node
-            # reduces its pool once, and a pick that raises joint to r - 1
-            # keys its child's table from these residues by the row it added.
+        def node(start: int, off: int, keys: list) -> bool:
+            # keys[j - off], for j >= start, is pool j's line key modulo joint.
+            # Below r - 1 a pick with key 0 leaves joint unchanged and shares
+            # the keys; any other pick joins joint, and its child re-keys the
+            # later indices by that one row.
             nonlocal steps
-            res = None
-            if joint.dim == r - 2:
-                res = [joint.reduce(v) for v in pool_vecs[start:]]
+            if joint.dim == r:
+                return complete(j for j in range(start, pool_n) if not keys[j - off])
+            if joint.dim == r - 1:
+                return close(start, table(off, keys))
             for i in range(start, pool_n - (r - len(chosen)) + 1):
                 steps += 1
                 if steps > step_cap:
@@ -375,31 +375,19 @@ def min_spanning_rank_ones(
                 if tok_c is None:
                     continue
                 chosen.append(i)
-                tok_j = joint.add(v)
-                if tok_j is None or res is None:
-                    found = dfs(i + 1)
+                if keys[i - off]:
+                    tok_j = joint.add(v)
+                    found = node(i + 1, i + 1, joint.line_keys(tok_j, keys[i + 1 - off:]))
+                    joint.remove(tok_j)
                 else:
-                    keys = joint.line_keys(tok_j, res[i + 1 - start:])
-                    found = close(i + 1, table(i + 1, keys))
+                    found = node(i + 1, off, keys)
                 if found:
                     return True
-                if tok_j is not None:
-                    joint.remove(tok_j)
                 chosen.pop()
                 cur.remove(tok_c)
             return False
 
-        if joint.dim < r - 1:
-            found = dfs(0)
-        else:
-            # The root reduces the pool once.  At r the pool members of joint
-            # are the zero residues; at r - 1 any row keys the full residues.
-            res = map(joint.reduce, pool_vecs)
-            if joint.dim == r:
-                found = complete(i for i, v in enumerate(res) if not v)
-            else:
-                found = close(0, table(0, joint.line_keys(0, res)))
-        return tuple(chosen) if found else None
+        return tuple(chosen) if node(0, 0, root_keys) else None
 
     for r in range(r0, r_max + 1):
         hit = attempt(r)

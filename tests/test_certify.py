@@ -1,9 +1,11 @@
 """Rank lower bounds from spreading, and decomposition-driven refutations."""
 
+import builtins
 import random
 
 import pytest
 
+from dimspread import certify
 from dimspread.certify import (
     LowerBoundCertificate,
     RefutationTrace,
@@ -17,6 +19,7 @@ from dimspread.errors import (
     DecompositionMismatch,
     NotSpreading,
     TooManyTerms,
+    TraceInvariantViolation,
 )
 from dimspread.families import MapFamily, SpreadingParams, symmetrize
 from dimspread.gfp import GF2, FieldSpec, Matrix
@@ -220,6 +223,36 @@ def test_refute_rejects_large_decompositions():
     t = family_tensor(SYM2)
     _, dec = tensor_rank(t, 4)
     with pytest.raises(TooManyTerms):
+        refute_spreading(SYM2, SpreadingParams(1, 2), dec)
+
+
+# Each fault breaks one step of the refutation of {I, C} at (1, 3) from its
+# rank-4 decomposition (head 2 terms, tail 2).  The split and the final
+# dimension check follow from the others, so no wrong space reaches them:
+# a head one term short and a bound one too high break them instead.
+_REFUTE_FAULTS = [
+    ("min", lambda a, b: builtins.min(a, b) - 1, "head/tail split"),
+    ("kernel", lambda m: Subspace.zero(GF2, 3), "kernel dimension 0 fell below"),
+    ("span_of", lambda m: Subspace.full(GF2, 3), "tail image span has dimension 3 > 2"),
+    ("_image_sum", lambda fam, sub: Subspace.full(GF2, 3), "escape the tail image span"),
+]
+
+
+@pytest.mark.parametrize("name, fault, message", _REFUTE_FAULTS)
+def test_refute_guards_catch_a_wrong_space(monkeypatch, name, fault, message):
+    fam = MapFamily(GF2, 3, (I3, C3))
+    _, dec = tensor_rank(family_tensor(fam), 4)
+    monkeypatch.setattr(certify, name, fault, raising=False)
+    with pytest.raises(TraceInvariantViolation, match=message):
+        refute_spreading(fam, SpreadingParams(1, 3), dec)
+
+
+def test_refute_guard_catches_images_that_reach_t(monkeypatch):
+    # {I, N, N^T} is (1, 2)-spreading and its tensor has rank 3.  A bound of
+    # 4 admits the rank-3 decomposition, whose kernel images reach t = 2.
+    _, dec = tensor_rank(family_tensor(SYM2), 4)
+    monkeypatch.setattr(certify, "rank_bound", lambda n, params: 4)
+    with pytest.raises(TraceInvariantViolation, match="reaches dimension 2 >= t=2"):
         refute_spreading(SYM2, SpreadingParams(1, 2), dec)
 
 

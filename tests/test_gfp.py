@@ -23,6 +23,8 @@ from dimspread.gfp import (
     unpack_bits,
     vectors,
 )
+from dimspread.subspace import Subspace, apply_map, enumerate_subspaces
+from dimspread.tensor import Decomposition
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -181,6 +183,29 @@ def test_solve_exactness_random():
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
         solve(Matrix.identity(GF2, 2), Matrix.identity(GF2, 3))
+
+
+# Argument checks of the field, subspace and tensor layers, one call each.
+_BAD_CALLS = [
+    (lambda: FieldSpec(2.0), "modulus must be an int"),
+    (lambda: Matrix(GF2, -1, 0, ()), "dimensions must be non-negative"),
+    (lambda: Matrix.from_rows(GF2, [[1, 0], [1]]), "rows have inconsistent lengths"),
+    (lambda: Matrix.identity(GF2, 2) @ Matrix.identity(F3, 2), "mixed fields"),
+    (lambda: Matrix.identity(GF2, 2) @ Matrix.identity(GF2, 3), "inner dimensions do not match"),
+    (lambda: solve(Matrix.identity(GF2, 2), Matrix.identity(F3, 2)), "mixed fields"),
+    (lambda: Subspace(GF2, 2, Matrix.identity(F3, 2)), "basis field does not match"),
+    (lambda: Subspace(GF2, 3, Matrix.identity(GF2, 2)), "basis width does not match"),
+    (lambda: apply_map(Matrix.identity(F3, 2), Subspace.full(GF2, 2)), "mixed fields"),
+    (lambda: apply_map(Matrix.identity(GF2, 3), Subspace.full(GF2, 2)), "map domain does not match"),
+    (lambda: enumerate_subspaces(3, 4, GF2), "dimension 4 is not between 0 and 3"),
+    (lambda: Decomposition(GF2, (0, 1, 1), ()), "dimensions must be positive"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_CALLS)
+def test_bad_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_bit_packing_roundtrip():
@@ -451,6 +476,27 @@ def test_line_keys_from_residues_match_line_key(p):
         assert all(span.line_keys(pos, full) == keys for pos in range(span.dim))
         assert [not k for k in keys] == [span.contains(v) for v in probes]
         assert keys[-2:] == [0, 0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_line_keys_rekeyed_row_by_row_match_full_residues(p):
+    # The rank search keys the pool once and re-keys the keys by each row it
+    # adds.  Over odd p a key is a nonzero multiple of a residue, so it keys
+    # the same line: after every add the keys equal those of full residues.
+    vec = vectors(p)
+    rng = random.Random(700 + p)
+    for _ in range(30):
+        width = rng.randrange(2, 8)
+        probes = [vec.pack([rng.randrange(p) for _ in range(width)]) for _ in range(12)]
+        span = make_row_span(p)
+        while not span.dim:
+            span.add(vec.pack([rng.randrange(p) for _ in range(width)]))
+        keys = span.line_keys(0, map(span.reduce, probes))
+        for _ in range(width):
+            tok = span.add(vec.pack([rng.randrange(p) for _ in range(width)]))
+            if tok is not None:
+                keys = span.line_keys(tok, keys)
+            assert keys == span.line_keys(0, map(span.reduce, probes))
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 65521])

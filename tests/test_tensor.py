@@ -15,9 +15,11 @@ from dimspread.tensor import (
     reconstruct_decomposition,
     slice_tensor,
     tensor_rank,
+    _proj_reps,
     _rank_one_factors,
 )
 from oracles import (
+    _projective_vectors,
     direct_tensor_rank,
     lex_first_spanning_rank_ones,
     pair_sums,
@@ -114,6 +116,13 @@ def test_single_term_evaluates_to_g_h_transpose():
         (RankOneTerm((1,), (1, 2), (1, 1)),),
     )
     assert eval_decomposition(dec).slice(0).row_lists() == [[1, 1], [2, 2]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_proj_reps_list_each_projective_class_in_lex_order(p):
+    # The pool order, and so every step count and witness, rests on this order.
+    for k in range(6):
+        assert _proj_reps(p, k) == _projective_vectors(p, k)
 
 
 def test_min_spanning_identity_slice():
@@ -333,6 +342,35 @@ def test_min_spanning_step_budget():
     with pytest.raises(BudgetExceeded) as exc:
         min_spanning_rank_ones([I2, N2, NT2], 4, step_cap=2)
     assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("rank search", 3, 2)
+
+
+# (seed, p, d1, d2, d3, k, r_max, step_cap): k rank-one terms drawn as in
+# PINNED_STEPS.  The first cap stops the search at a node one short of a full
+# joint span, the second in the completion pass of a full one, and the third
+# at a node two or more short.
+@pytest.mark.parametrize("case", [
+    (0, 2, 2, 3, 3, 4, 4, 1),
+    (0, 2, 2, 3, 3, 4, 4, 2),
+    (36, 2, 3, 3, 3, 5, 5, 48),
+])
+def test_step_cap_fires_at_every_kind_of_node(case):
+    seed, p, d1, d2, d3, k, r_max, cap = case
+    slices = _low_rank_slices(FieldSpec(p), d1, d2, d3, k, random.Random(seed))
+    with pytest.raises(BudgetExceeded) as exc:
+        min_spanning_rank_ones(slices, r_max, step_cap=cap)
+    assert (exc.value.stage, exc.value.needed, exc.value.cap) == ("rank search", cap + 1, cap)
+
+
+def test_rank_search_steps_over_a_pick_dependent_on_the_chosen():
+    # At a node two short of a full joint span, this search meets a candidate
+    # in the span of the chosen matrices: the add counts a step and makes no
+    # pick.  The search still reaches rank 6 on the step cap's boundary.
+    slices = _dense_slices(GF2, 3, 3, 4, random.Random(20))
+    t = slice_tensor(slices)
+    assert tensor_rank(t, 6, step_cap=7234)[0] == 6
+    with pytest.raises(BudgetExceeded) as exc:
+        tensor_rank(t, 6, step_cap=7233)
+    assert exc.value.needed == 7234
 
 
 def test_rank_one_factors():
