@@ -22,6 +22,7 @@ Every scan runs in one thread.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -819,22 +820,28 @@ def verify_large_expansion(
     dims = [d for d in range(n // 2 + 1, n)]
     thresholds = {d: math.ceil((1 + tau * (1 - Fraction(d, n)) / 2) * d) for d in dims}
     sharper = {d: (tau * (1 - Fraction(d, n))) / ((1 + tau) * Fraction(d, n)) for d in dims}
-    records = []
     shared: dict[tuple[int, int], LargeExpansionRecord] = {}
     hit = None
-    for d, rows, a, count in _image_sums(fam, {d: n for d in dims}, None, None,
-                                         enumeration_cap, "large-subspace expansion"):
-        rec = shared.get((d, a))
-        if rec is None:
-            delta = Fraction(a, d) - 1
-            rec = LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d])
-            shared[(d, a)] = rec
-        records.extend([rec] * count)  # the need is n: a block's members all have a = n
-        if hit is None and a < thresholds[d]:
-            hit = (_subspace(fam, rows), a)
+
+    def runs():
+        # One run of shared record references per scan item, fed straight
+        # into the result tuple: no list of records is built and copied.
+        nonlocal hit
+        for d, rows, a, count in _image_sums(fam, {d: n for d in dims}, None, None,
+                                             enumeration_cap, "large-subspace expansion"):
+            rec = shared.get((d, a))
+            if rec is None:
+                delta = Fraction(a, d) - 1
+                rec = LargeExpansionRecord(d, a, delta, sharper[d], delta >= sharper[d])
+                shared[(d, a)] = rec
+            yield itertools.repeat(rec, count)  # the need is n: a block's members all have a = n
+            if hit is None and a < thresholds[d]:
+                hit = (_subspace(fam, rows), a)
+
+    records = tuple(itertools.chain.from_iterable(runs()))
     if hit is None:
-        return LargeExpansionResult(True, None, None, tuple(records))
-    return LargeExpansionResult(False, *hit, tuple(records))
+        return LargeExpansionResult(True, None, None, records)
+    return LargeExpansionResult(False, *hit, records)
 
 
 def spreading_profile(

@@ -6,14 +6,15 @@ matrices and asks whether r of them span every slice; the least such r is
 the tensor rank.  The search is exhaustive over candidate classes, so both
 answers it returns are certificates: a witness decomposition when the rank
 is at most the cap, and a proof of "rank exceeds the cap" otherwise.  Once
-the span of the chosen matrices and the slices is full (dimension r), the
+the span of the picked matrices and the slices is full (dimension r), the
 rest of a branch is a basis completion in a linear matroid, which one
 greedy pass settles in place of a walk over its combinations.  The
 candidates of that pass are found by lookup: the pool's residues modulo
 the slice span are keyed by line once per search, each node takes its keys
 from its parent, re-keyed by one row when its pick grows the joint span,
 and a node one dimension short walks only the picks that can still
-complete.
+complete.  Every pick is made, and counted as one step, by one function,
+and each part of the walk returns the pool indices it picked, or None.
 """
 
 from __future__ import annotations
@@ -195,16 +196,18 @@ def min_spanning_rank_ones(
     That count is exactly the rank of the stacked tensor.  Searches r from
     dim(span of slices) upward to r_max by iterative deepening; each level
     runs a depth-first walk over index-increasing combinations of candidate
-    classes, skipping candidates dependent on the ones already chosen and
-    pruning branches where dim(span(chosen) + span(slices)) exceeds r.  A
-    branch that reaches depth r has succeeded: the chosen matrices are r
-    independent vectors and the joint span was pruned to dimension at most
-    r, so it coincides with their span.
+    classes, skipping candidates dependent on the ones already picked and
+    pruning branches where dim(span(cur) + span(slices)) exceeds r, cur
+    being the span of the picks.  A branch that reaches depth cur.dim == r
+    has succeeded: the picks are r independent vectors and the joint span
+    was pruned to dimension at most r, so it coincides with their span.
+    The walk returns the picks of the first such branch, each node putting
+    its own pick in front of its child's.
 
     At a node whose joint span already has dimension r, any later pick
     outside it would be pruned, so the remaining picks are candidates in
-    the joint span, independent of the chosen ones: a basis completion in
-    the linear matroid of those candidates with the chosen ones contracted.
+    the joint span, independent of the picked ones: a basis completion in
+    the linear matroid of those candidates with the picked ones contracted.
     A greedy pass in index order finds a completion exactly when one exists,
     and the one it finds is the lexicographically first, which is the one
     the walk over combinations would reach first.  So such a node takes one
@@ -231,8 +234,8 @@ def min_spanning_rank_ones(
     cannot complete, and the walk skips it.  It makes no add, so it counts
     no step, and the first completion in index order is unchanged.
 
-    Every add to the span of the chosen matrices counts as one step against
-    step_cap, in the order the walk over combinations would make them, less
+    Every add to cur counts as one step against step_cap, all made by
+    `pick`, in the order the walk over combinations would make them, less
     the adds of the skipped picks and of the completions they would start.
 
     Returns (r, witness matrices), or None once the search has certified
@@ -268,39 +271,39 @@ def min_spanning_rank_ones(
     root_keys = base.line_keys(0, map(base.reduce, pool_vecs))
     steps = 0
 
-    def attempt(r: int) -> tuple[int, ...] | None:
-        nonlocal steps
+    def attempt(r: int) -> list[int] | None:
         cur = make_row_span(p)
         joint = base.copy()
-        chosen: list[int] = []
 
-        def complete(cands) -> bool:
-            # span(chosen) + span(slices) has dimension r and cands are the
+        def pick(i: int):
+            # The one step rule: every add to cur is one step against step_cap.
+            nonlocal steps
+            steps += 1
+            if steps > step_cap:
+                raise BudgetExceeded("rank search", steps, step_cap)
+            return cur.add(pool_vecs[i])
+
+        def complete(cands) -> list[int] | None:
+            # span(cur) + span(slices) has dimension r and cands are the
             # remaining pool indices inside it, ascending: the remaining picks
             # are a basis completion of cur among them, and the greedy pass by
             # index finds the first.  A pick remains: from the root none is
             # made, and from `close` depth <= r - 2 before its pick.
-            nonlocal steps
-            need = r - len(chosen)
-            toks = []
+            need = r - cur.dim
+            kept = []
             for i in cands:
                 if pool_n - i < need:
                     break
-                steps += 1
-                if steps > step_cap:
-                    raise BudgetExceeded("rank search", steps, step_cap)
-                tok = cur.add(pool_vecs[i])
+                tok = pick(i)
                 if tok is None:
                     continue
-                chosen.append(i)
-                toks.append(tok)
+                kept.append((i, tok))
                 need -= 1
                 if not need:
-                    return True
-            for tok in reversed(toks):
+                    return [i for i, _ in kept]
+            for _, tok in reversed(kept):
                 cur.remove(tok)
-            del chosen[len(chosen) - len(toks):]
-            return False
+            return None
 
         def table(start: int, keys: list) -> tuple:
             # joint.dim == r - 1 and keys[j - start], for j >= start, is pool
@@ -325,69 +328,56 @@ def min_spanning_rank_ones(
                 line.append(ends[k])
             return start, keys, zeros, lines, walk
 
-        def close(start: int, tab) -> bool:
+        def close(start: int, tab) -> list[int] | None:
             # A node with joint.dim == r - 1, where a pick outside joint makes
             # it full and hands the rest of the branch to `complete`.  No pool
             # vectors inside joint span it (r - 1 of them would span the
             # slices, and attempt(r - 1) would have returned them), so depth
             # <= r - 2, and a pick that ends its line cannot complete: it is
             # not walked.
-            nonlocal steps
             first, keys, zeros, lines, walk = tab
-            last = pool_n - (r - len(chosen)) + 1
+            last = pool_n - (r - cur.dim) + 1
             for i in walk[bisect_left(walk, start):bisect_left(walk, last)]:
-                steps += 1
-                if steps > step_cap:
-                    raise BudgetExceeded("rank search", steps, step_cap)
-                tok_c = cur.add(pool_vecs[i])
+                tok_c = pick(i)
                 if tok_c is None:
                     continue
-                chosen.append(i)
                 k = keys[i - first]
                 if k:
                     line = lines[k]
-                    cands = sorted(zeros[bisect_right(zeros, i):]
-                                   + line[bisect_right(line, i):])
-                    if complete(cands):
-                        return True
-                elif close(i + 1, tab):
-                    return True
-                chosen.pop()
+                    found = complete(sorted(zeros[bisect_right(zeros, i):]
+                                            + line[bisect_right(line, i):]))
+                else:
+                    found = close(i + 1, tab)
+                if found is not None:
+                    return [i, *found]
                 cur.remove(tok_c)
-            return False
+            return None
 
-        def node(start: int, off: int, keys: list) -> bool:
+        def node(start: int, off: int, keys: list) -> list[int] | None:
             # keys[j - off], for j >= start, is pool j's line key modulo joint.
             # Below r - 1 a pick with key 0 leaves joint unchanged and shares
             # the keys; any other pick joins joint, and its child re-keys the
             # later indices by that one row.
-            nonlocal steps
             if joint.dim == r:
                 return complete(j for j in range(start, pool_n) if not keys[j - off])
             if joint.dim == r - 1:
                 return close(start, table(off, keys))
-            for i in range(start, pool_n - (r - len(chosen)) + 1):
-                steps += 1
-                if steps > step_cap:
-                    raise BudgetExceeded("rank search", steps, step_cap)
-                v = pool_vecs[i]
-                tok_c = cur.add(v)
+            for i in range(start, pool_n - (r - cur.dim) + 1):
+                tok_c = pick(i)
                 if tok_c is None:
                     continue
-                chosen.append(i)
                 if keys[i - off]:
-                    tok_j = joint.add(v)
+                    tok_j = joint.add(pool_vecs[i])
                     found = node(i + 1, i + 1, joint.line_keys(tok_j, keys[i + 1 - off:]))
                     joint.remove(tok_j)
                 else:
                     found = node(i + 1, off, keys)
-                if found:
-                    return True
-                chosen.pop()
+                if found is not None:
+                    return [i, *found]
                 cur.remove(tok_c)
-            return False
+            return None
 
-        return tuple(chosen) if node(0, 0, root_keys) else None
+        return node(0, 0, root_keys)
 
     for r in range(r0, r_max + 1):
         hit = attempt(r)

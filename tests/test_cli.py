@@ -13,7 +13,14 @@ import dimspread
 import dimspread.cli as cli_module
 from dimspread.cli import RunConfig, main
 from dimspread.errors import BudgetExceeded
-from dimspread.families import MapFamily, dyadic_matchings, matching_maps, symmetrize, words
+from dimspread.families import (
+    MapFamily,
+    dyadic_matchings,
+    matching_maps,
+    shift_matchings,
+    symmetrize,
+    words,
+)
 from dimspread.formats import (
     parse_decomposition,
     parse_map_family,
@@ -1035,3 +1042,20 @@ def test_reports_do_not_depend_on_the_hash_seed(run, tmp_path):
     first = outputs("0")
     assert [code for code, *_ in first[0]] == [0, 0, 1, 0]
     assert outputs("12345") == first
+
+
+def test_module_entry_point_sets_the_exit_code(tmp_path):
+    # `python -m dimspread` runs `cli.entry`, which exits with main's code:
+    # 0 with the report on stdout, 2 with the error on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(dimspread.__file__).parent.parent))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "dimspread", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = module("build-maps", "--kind", "shifts", "--n", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert parse_map_family(done.stdout) == matching_maps(shift_matchings(3), GF2)
+    done = module("verify-spreading", str(tmp_path / "missing.maps"), "--s", "1", "--t", "2")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:")

@@ -631,6 +631,22 @@ def test_large_expansion_records_are_shared():
     assert len({id(rec) for rec in res.records}) == len(pairs)
 
 
+def test_large_expansion_records_take_one_pass():
+    # The result holds one 8-byte reference per subspace.  Building the
+    # tuple straight from the scan keeps the peak near that; a list of the
+    # records copied into a tuple at the end holds both, about twice that.
+    fam = symmetrize(matching_maps(dyadic_matchings(8), GF2))
+    tracemalloc.start()
+    try:
+        res = verify_large_expansion(fam, Fraction(1, 2), check_expander=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verified
+    assert len(res.records) == sum(grassmann_count(8, d, 2) for d in (5, 6, 7))
+    assert peak < 1.5 * 8 * len(res.records)
+
+
 def test_last_row_tables_stay_under_the_cap():
     # GF(2) n=16 at s=1: the pivot-0 cell's last row has 15 free entries.  A
     # whole-row table of images would hold 2**15 vectors per map; its list

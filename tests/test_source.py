@@ -2,8 +2,9 @@
 the exact subspace layer stays off the packed vectors the scans use, so the
 invariants it checks do not share code with them; the sampler's draw
 protocol rests on the public `random.Random` API alone; the CLI writes
-stdout from `main` alone; each `__all__` lists what its module defines; and
-the package imports nothing outside the standard library."""
+stdout from `main` alone; the rank search counts its steps at one site; each
+`__all__` lists what its module defines; and the package imports nothing
+outside the standard library."""
 
 import ast
 import importlib
@@ -153,6 +154,43 @@ def test_cli_writes_stdout_only_in_main():
     # one place writes stdout, after the subcommand has finished, so a run
     # that fails part way prints no partial report
     assert stdout_uses((SRC / "cli.py").read_text()) == []
+
+
+def step_sites(source: str) -> list[str]:
+    """`steps +=`, `cur.add(...)` and `BudgetExceeded("rank search", ...)` in
+    `source`, as 'line: what'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
+                and node.target.id == "steps"):
+            found.append(f"{node.lineno}: steps")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "cur"):
+            found.append(f"{node.lineno}: cur.add")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "BudgetExceeded" and node.args
+              and isinstance(node.args[0], ast.Constant) and node.args[0].value == "rank search"):
+            found.append(f"{node.lineno}: BudgetExceeded")
+    return found
+
+
+def test_step_sites_finds_each_kind():
+    source = ("def walk():\n    steps += 1\n    tok = cur.add(v)\n"
+              "    raise BudgetExceeded('rank search', steps, cap)\n"
+              "def other():\n    steps += 2; joint.add(v); cur.remove(tok)\n"
+              "    raise BudgetExceeded('rank-one candidate pool', n, cap)\n"
+              "    count += 1\n")
+    assert sorted(step_sites(source)) == ["2: steps", "3: cur.add", "4: BudgetExceeded",
+                                          "6: steps"]
+
+
+def test_rank_search_counts_steps_at_one_site():
+    # Each pick of the walk is one add to cur and one step against the cap,
+    # so one function makes the add, counts the step and raises at the cap;
+    # a second copy of that rule could count a pick the other does not.
+    sites = step_sites((SRC / "tensor.py").read_text())
+    assert sorted(site.split(": ")[1] for site in sites) == ["BudgetExceeded", "cur.add", "steps"]
 
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dimspread.errors import BudgetExceeded, SpanFailure
+import dimspread.tensor as tensor_module
+from dimspread.errors import BudgetExceeded, DecompositionMismatch, SpanFailure
 from dimspread.gfp import GF2, FieldSpec, Matrix, rref
 from dimspread.tensor import (
     Decomposition,
@@ -424,6 +425,16 @@ def test_tensor_rank_known_values():
     assert tensor_rank(z, 4) == (0, Decomposition(GF2, (2, 2, 2), ()))
     z3 = Tensor3.zeros(F3, 2, 3, 2)
     assert tensor_rank(z3, 0) == (0, Decomposition(F3, (2, 3, 2), ()))
+
+
+def test_tensor_rank_refuses_a_decomposition_of_another_tensor(monkeypatch):
+    # The witness is checked by evaluation before it is returned: a
+    # reconstruction that sums to some other tensor raises, not returns.
+    t = slice_tensor([I2, N2, NT2])
+    other = Decomposition(GF2, (3, 2, 2), (RankOneTerm((1, 0, 0), (1, 0), (1, 0)),))
+    monkeypatch.setattr(tensor_module, "reconstruct_decomposition", lambda *args: other)
+    with pytest.raises(DecompositionMismatch):
+        tensor_rank(t, 4)
 
 
 def test_tensor_rank_matches_direct_search():
