@@ -13,10 +13,14 @@ mod p only before one could overflow and once at the end.  `vectors(p)`
 returns the pack/unpack/images/fill operations and the bits per coordinate
 of that representation, and `make_row_span(p)` the matching span
 accumulator.  Over GF(2), `images` reads the combinations of fixed rows
-from XOR tables of 2**8 entries, one per 8 rows (`_CHUNK`).  `fill` sets
-coordinates that are 0 to every value, which is int addition with no carry
-in either layout.  Elimination (`rref`, `kernel_basis`, `solve`) runs on
-dense residue rows for every p.
+from XOR tables of 2**8 entries, one per 8 rows (`_CHUNK`).  Over odd p it
+keeps no table: where a lane is 8 bits and len(rows) * (p - 1)**2 < 256 (up
+to 63 rows at p = 3, 15 at 5, 7 at 7, 2 at 11 and 1 at 13) an image is read
+out of the bytes of one int product, and otherwise it is summed term by
+term.  Either way a coefficient vector must have reduced lanes and no more
+lanes than there are rows.  `fill` sets coordinates that are 0 to every
+value, which is int addition with no carry in either layout.  Elimination
+(`rref`, `kernel_basis`, `solve`) runs on dense residue rows for every p.
 """
 
 from __future__ import annotations
@@ -241,12 +245,16 @@ class FieldVectors(NamedTuple):
     pack(seq) turns a sequence of reduced residues into a vector and
     unpack(v, width) turns it back into a tuple.  images(rows) fixes one or
     more vectors of one common width and returns image, where image(coeffs)
-    is the vector sum of coeffs[k] * rows[k] and coeffs is itself a vector;
-    over GF(2) it reads lookup tables built here, at most 2**8 vectors per
-    8 rows.  fill(base, cols) lists every vector that agrees with base off
-    the coordinates cols, in lexicographic order of its entries at cols,
-    first column slowest; base must be 0 at cols.  Coordinate j sits at bit
-    j * width, so v << (k * width) moves every coordinate of v up by k.
+    is the vector sum of coeffs[k] * rows[k] and coeffs is itself a vector
+    with reduced lanes and at most len(rows) of them; over GF(2) it reads
+    lookup tables built here, at most 2**8 vectors per 8 rows, and over odd
+    p it takes one int product where every lane of it stays below 256 (8-bit
+    lanes and len(rows) * (p - 1)**2 < 256), and a sum of c * rows[k] term
+    by term otherwise.  fill(base, cols) lists every vector that agrees with
+    base off the coordinates cols, in lexicographic order of its entries at
+    cols, first column slowest; base must be 0 at cols.  Coordinate j sits
+    at bit j * width, so v << (k * width) moves every coordinate of v up by
+    k.
     """
 
     pack: Callable
@@ -267,7 +275,9 @@ class _Lanes(NamedTuple):
     the next lane.  A sum of terms c * row (c and every lane of row below p)
     may take `again` terms on top of reduced lanes, and so at least as many
     from zero, before `reduce`, which reduces every lane mod p, must run.
-    pack and unpack convert between residue sequences and lanes.
+    pack and unpack convert between residue sequences and lanes.  For 8-bit
+    lanes, `table` is the bytes x % p for every byte x, which `reduce` reads
+    with `bytes.translate`; it is None for wider lanes.
     """
 
     width: int
@@ -276,6 +286,7 @@ class _Lanes(NamedTuple):
     reduce: Callable
     pack: Callable
     unpack: Callable
+    table: bytes | None
 
 
 @functools.cache
@@ -285,6 +296,7 @@ def _lanes(p: int) -> _Lanes:
     while p * (p - 1) >= 1 << width:
         width += 8
     mask = (1 << width) - 1
+    table = None
     if width == 8:
         table = bytes(x % p for x in range(256))
 
@@ -316,16 +328,42 @@ def _lanes(p: int) -> _Lanes:
             return tuple((v >> (j * width)) & mask for j in range(n))
 
     top = (p - 1) ** 2
-    return _Lanes(width, mask, (mask - (p - 1)) // top, reduce, pack, unpack)
+    return _Lanes(width, mask, (mask - (p - 1)) // top, reduce, pack, unpack, table)
+
+
+def _product_images(rows, table: bytes) -> Callable:
+    """image(coeffs) over 8-bit lanes as one product coeffs * big.
+
+    Block i of big holds lane i of every row, last row lowest, and blocks sit
+    2 * len(rows) - 1 lanes apart, so lane len(rows) - 1 of block i of the
+    product is the sum of coeffs[k] * rows[k][i].  The caller keeps every
+    such sum below len(table), so no lane carries, and `table` reduces them.
+    """
+    size = len(rows)
+    step = 2 * size - 1
+    lanes = max((row.bit_length() + 7) >> 3 for row in rows)
+    blocks = bytearray(lanes * step)
+    for k, row in enumerate(rows):
+        blocks[size - 1 - k::step] = row.to_bytes(lanes, "little")
+    big, length, mid = int.from_bytes(blocks, "little"), len(blocks), size - 1
+
+    def image(coeffs: int) -> int:
+        raw = (coeffs * big).to_bytes(length, "little")
+        return int.from_bytes(raw[mid::step].translate(table), "little")
+
+    return image
 
 
 @functools.cache
 def _residue_vectors(p: int) -> FieldVectors:
     lanes = _lanes(p)
-    again, reduce, unpack = lanes.again, lanes.reduce, lanes.unpack
+    again, reduce, unpack, table = lanes.again, lanes.reduce, lanes.unpack, lanes.table
+    top = (p - 1) ** 2
 
     def images(rows) -> Callable:
         size = len(rows)
+        if table is not None and size * top < len(table):
+            return _product_images(rows, table)
 
         def image(coeffs: int) -> int:
             acc = 0
@@ -546,7 +584,7 @@ class ModRowSpan(_RowSpan):
     def reduce(self, v) -> int:
         """The canonical residue of v modulo the span."""
         p = self.p
-        _, mask, again, reduce, pack, _ = self.lanes
+        _, mask, again, reduce, pack, _, _ = self.lanes
         if not isinstance(v, int):
             v = pack(v)
         room = again

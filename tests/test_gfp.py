@@ -334,10 +334,11 @@ def test_gf2_images_match_combine(n):
         check_images(vec, 2, n, n + 3, coeffs, rows)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 257])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 257])
 def test_odd_images_match_combine(p):
-    # 257 has 16-bit lanes; the lane term budget is crossed in
-    # test_combine_at_the_lane_term_budget
+    # 11 and 13 form an image as one product up to 2 rows and 1 row and term
+    # by term beyond; 257 has 16-bit lanes; the lane term budget is crossed
+    # in test_combine_at_the_lane_term_budget
     vec = vectors(p)
     rng = random.Random(500 + p)
     for n in range(1, 7):
@@ -522,20 +523,31 @@ def test_row_span_packs_residue_lists_on_entry(p):
 
 # Terms per lane reduction: with every coefficient and entry p - 1, each term
 # adds (p - 1)**2 to a lane, so these counts cross each lane's term budget
-# (63 terms at p = 3, 15 at p = 5, 6 at p = 7, one at p = 13 and p = 65521;
-# 255 for the 16- and 24-bit lanes of 17 and 257) at least twice.
-WORST_TERMS = {3: 130, 5: 34, 7: 18, 13: 4, 17: 520, 257: 520, 65521: 4}
+# (63 terms at p = 3, 15 at p = 5, 6 at p = 7, 2 at p = 11, one at p = 13 and
+# p = 65521; 255 for the 16- and 24-bit lanes of 17 and 257) at least twice.
+WORST_TERMS = {3: 130, 5: 34, 7: 18, 11: 6, 13: 4, 17: 520, 257: 520, 65521: 4}
+
+# The most rows whose image the 8-bit lanes form as one product, where a
+# lane's len(rows) * (p - 1)**2 stays below 256.
+PRODUCT_TERMS = {3: 63, 5: 15, 7: 7, 11: 2, 13: 1}
 
 
 @pytest.mark.parametrize("p", sorted(WORST_TERMS))
 def test_combine_at_the_lane_term_budget(p):
+    # for 8-bit lanes also at the most rows of the one-product image, and at
+    # one more, where the term-by-term sum takes over
     vec = vectors(p)
-    k, top = WORST_TERMS[p], p - 1
-    rows = [[top] * (k + 1) for _ in range(k)]
-    rows[-1][-1] = 1  # so that the last lane differs from the others
-    coeffs, packed = vec.pack([top] * k), [vec.pack(r) for r in rows]
-    want = tuple(sum(top * r[j] for r in rows) % p for j in range(k + 1))
-    assert vec.unpack(vec.images(packed)(coeffs), k + 1) == want
+    top = p - 1
+    sizes = [WORST_TERMS[p]]
+    if p in PRODUCT_TERMS:
+        sizes += [PRODUCT_TERMS[p], PRODUCT_TERMS[p] + 1]
+    for k in sizes:
+        rows = [[top] * (k + 1) for _ in range(k)]
+        rows[-1][-1] = 1  # so that the last lane differs from the others
+        coeffs, packed = vec.pack([top] * k), [vec.pack(r) for r in rows]
+        image = vec.images(packed)
+        assert ("_product_images" in image.__qualname__) == (k <= PRODUCT_TERMS.get(p, 0))
+        assert vec.unpack(image(coeffs), k + 1) == combine([top] * k, rows, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 65521])

@@ -41,10 +41,14 @@ from dimspread.subspace import (
 from oracles import replay_draws
 
 # GF(7) and GF(13) fill an 8-bit vector lane in 7 terms and in one, GF(17)
-# has 16-bit lanes; appended so that the seeded families before them stay put.
+# has 16-bit lanes; GF(11) forms an image as one product at n = 2 (2 * 10**2
+# < 256) and term by term at n = 3.  Each group is appended so that the
+# seeded families before it stay put.
 CASES = [(FieldSpec(2), n) for n in (2, 3, 4)] + [
     (FieldSpec(p), n) for p in (3, 5) for n in (2, 3)
-] + [(FieldSpec(p), n) for p in (7, 13) for n in (2, 3)] + [(FieldSpec(17), 2)]
+] + [(FieldSpec(p), n) for p in (7, 13) for n in (2, 3)] + [(FieldSpec(17), 2)] + [
+    (FieldSpec(11), n) for n in (2, 3)
+]
 TAUS = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
 
 

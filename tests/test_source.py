@@ -1,6 +1,7 @@
 """Source rules: README promises no floats, so none may enter `src/dimspread`;
 the exact subspace layer stays off the packed vectors the scans use, so the
-invariants it checks do not share code with them; the sampler's draw
+invariants it checks do not share code with them; only `gfp` turns vectors
+into bytes, so the lane layout stays decided there; the sampler's draw
 protocol rests on the public `random.Random` API alone; the CLI writes
 stdout from `main` alone; the rank search counts its steps at one site; each
 `__all__` lists what its module defines; and the package imports nothing
@@ -83,6 +84,32 @@ def test_packed_uses_finds_each_kind():
 @pytest.mark.parametrize("name", ["subspace.py", "certify.py"])
 def test_exact_layer_uses_no_packed_vectors(name):
     assert packed_uses((SRC / name).read_text()) == []
+
+
+# The byte conversions of the packed vectors.  Over odd p an image is read out
+# of the bytes of one product, which rests on the lane layout `gfp` decides.
+BYTE_METHODS = {"to_bytes", "from_bytes", "translate"}
+
+
+def byte_uses(source: str) -> list[str]:
+    """Attribute uses of `to_bytes`, `from_bytes` and `translate` in
+    `source`, as 'line: name'."""
+    return [f"{node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in BYTE_METHODS]
+
+
+def test_byte_uses_finds_each_kind():
+    source = ("raw = v.to_bytes(4, 'little')\n"
+              "w = int.from_bytes(raw.translate(table), 'little')\n"
+              "f = bytes.translate\nto_bytes = from_bytes = len\nt = to_bytes(raw)\n")
+    assert sorted(byte_uses(source)) == ["1: to_bytes", "2: from_bytes", "2: translate",
+                                         "3: translate"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "gfp.py"),
+                         ids=lambda p: p.name)
+def test_only_gfp_converts_vectors_to_bytes(path):
+    assert byte_uses(path.read_text()) == []
 
 
 # Private members of `random.Random` (`_randbelow` and its two variants).  A
