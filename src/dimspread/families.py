@@ -300,19 +300,19 @@ def dyadic_matchings(n: int) -> list[Matching]:
 # image-sum computation
 # ----------------------------------------------------------------------
 
-# Most entries a one-row cell's lookup table holds per map; a longer row moves
-# its leading free entries into the prefix.  Larger cells need no cap.
+# Most values a one-row cell lists for its last row (`lasts`); a longer row
+# moves its leading free entries into the prefix.  Larger cells need no cap.
 _TABLE_CAP = 1 << 10
 
 
-def _map_images(fam: MapFamily, vec) -> list:
-    """One function per map, image(v) = the map applied to the packed v.
+def _map_images(columns: list, vec) -> list:
+    """One function per map, image(v) = the map applied to the packed v,
+    where columns[j] holds map j's packed columns.
 
     Each slot starts as a stand-in; on its first call it builds the map's
-    lookup tables (`vec.images` of its packed columns) and takes its place
-    in the list, so a scan builds tables only for the maps it reaches.
+    image function (`vec.images` of its columns) and takes its place in the
+    list, so a scan builds them only for the maps it reaches.
     """
-    n = fam.n
     images = []
 
     def stand_in(j: int, cols: tuple):
@@ -326,46 +326,38 @@ def _map_images(fam: MapFamily, vec) -> list:
 
         return image
 
-    for j, m in enumerate(fam.maps):
-        images.append(stand_in(j, tuple(vec.pack(m.entries[c::n]) for c in range(n))))
+    images.extend(stand_in(j, cols) for j, cols in enumerate(columns))
     return images
 
 
-def _image_table(image, values) -> list:
-    """The images of values under one map, in their order."""
-    return list(map(image, values))
-
-
-def _group_reaches(span, empty, images, points, group, shift: int) -> bool:
+def _group_reaches(span, empty, images, columns, base: int, tail, shift: int) -> bool:
     """Whether every row of a last-row group has an image outside `span`.
 
-    The group's rows are points[0] plus each combination of points[1:], the
-    unit vectors of the row's free entries, so a row's residue modulo the
-    span under map j is linear in that combination: R0 + sum x_k Rk, with
-    R0 and Rk the residues of map j's images of the points.  Set side by
-    side for maps 0..j (map i's coordinates from bit i * shift), some row
-    keeps every image under those maps inside the span exactly when R0
-    lies in the span of the Rk.  Maps are tested in order up to the first
-    where it does not, and group[j] caches map j's images of the points.
+    The group's rows are base plus each combination of the unit vectors at
+    the coordinates `tail`, the row's free entries, so a row's residue
+    modulo the span under map j is linear in that combination: R0 + sum
+    x_k Rk, with R0 the residue of map j's image of base and Rk that of its
+    image of unit vector k, which is column k of map j (`columns[j]`).  Set
+    side by side for maps 0..j (map i's coordinates from bit i * shift),
+    some row keeps every image under those maps inside the span exactly
+    when R0 lies in the span of the Rk.  Maps are tested in order up to the
+    first where it does not, each with one image call, for base.
     """
-    r0, rk = 0, [0] * (len(points) - 1)
-    for j, image in enumerate(images):
-        if group[j] is None:
-            group[j] = list(map(image, points))
+    r0, rk = 0, [0] * len(tail)
+    for j, (image, cols) in enumerate(zip(images, columns)):
         at = j * shift
-        head, *tail = [span.reduce(v) << at for v in group[j]]
-        r0 |= head
+        r0 |= span.reduce(image(base)) << at
         test = empty.copy()
-        for i, v in enumerate(tail):
-            rk[i] |= v
+        for i, c in enumerate(tail):
+            rk[i] |= span.reduce(cols[c]) << at
             test.add(rk[i])
         if not test.contains(r0):
             return True
     return False
 
 
-def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dict[int, int],
-                    nominal: int, floor: int):
+def _grassmann_scan(fam: MapFamily, columns: list, images: list, units: list, d: int,
+                    need: dict[int, int], nominal: int, floor: int):
     """Yields items (d, packed rows, a, count) that cover every dim-d
     subspace once, one Schubert cell at a time in canonical order, free
     entries in lexicographic order.
@@ -384,14 +376,14 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
     the row's pivot unit (`choices`; units[c] is the packed unit vector at
     coordinate c).  In each cell the prefix is the free values of rows
     0..d-2, and at d = 1 the leading free values of the row when it has
-    more than a lookup table covers.  spans[r] is the span of
-    the images of rows 0..r-1; after each step it is rebuilt from the row
-    whose value changed, and no span grows past need[d].  images[j] is map
-    j's image function (`_map_images`).  An undecided subspace then adds
-    only the images of its last row.  `fill` lists that row's values
-    (`lasts`) from its pivot unit, or from its head value when a one-row
-    cell splits, and map j's table holds their images, built once per cell
-    (once per prefix at d = 1) when a subspace first reads it.  When a span
+    more than `_TABLE_CAP` values.  spans[r] is the span of the images of
+    rows 0..r-1; after each step it is rebuilt from the row whose value
+    changed, and no span grows past need[d].  images[j] is map j's image
+    function and columns[j] its packed columns (`_map_images`).  An
+    undecided subspace then adds only the images of its last row, map by
+    map up to the first map that decides it.  `fill` lists that row's
+    values (`lasts`) once per cell (once per prefix at d = 1) from its pivot
+    unit, or from its head value when a one-row cell splits.  When a span
     is exactly one short of the need, the next row reaches it iff one of
     its images lies outside that span, so the images are only tested with
     `contains`, up to the first one outside, and no span is built.  When
@@ -433,11 +425,10 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
             covered += count
             yield d, tuple(units[c] for c in pivots), floor, count
             continue
-        # Only a one-row cell splits its row, since there a whole-row table
-        # is as large as the cell.  At d >= 2 row 0 has at least as many free
-        # entries as the last row, so `lasts` and the D map tables hold at
-        # most (D + 1) * sqrt(cell size) vectors, bounded by the enumeration
-        # budget, and each is built at most once per cell.
+        # Only a one-row cell splits its row, since there `lasts` would be as
+        # large as the cell.  At d >= 2 row 0 has at least as many free
+        # entries as the last row, so `lasts` holds at most sqrt(cell size)
+        # values, bounded by the enumeration budget.
         split = max(0, len(free[last]) - width) if d == 1 else 0
         head, tail = free[last][:split], free[last][split:]
         choices = [fill(units[pivots[r]], cols)
@@ -478,16 +469,13 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
             if a < target and cur[last] != base:
                 base = cur[last]
                 lasts = fill(base, tail)
-                tables = [None] * len(images)
-                points = [base] + [units[c] for c in tail]
-                group = [None] * len(images)
             if a >= target:
                 count = (len(choices[k]) - idx[k]) * below[k + 1]
                 covered += count
                 yield d, tuple(cur), a, count
                 idx[k] = len(choices[k]) - 1  # the carry below leaves row k's subtree
             elif (a == target - 1 and len(tail) > 1
-                  and _group_reaches(span, empty, images, points, group, shift)):
+                  and _group_reaches(span, empty, images, columns, base, tail, shift)):
                 covered += len(lasts)
                 yield d, tuple(cur), target, len(lasts)
             else:
@@ -498,18 +486,14 @@ def _grassmann_scan(fam: MapFamily, images: list, units: list, d: int, need: dic
                     a = reached
                     if a < target:
                         if a == target - 1:
-                            for j, table in enumerate(tables):
-                                if table is None:
-                                    table = tables[j] = _image_table(images[j], lasts)
-                                if not span.contains(table[x]):
+                            for image in images:
+                                if not span.contains(image(row)):
                                     a = target
                                     break
                         else:
                             grown = span.copy()
-                            for j, table in enumerate(tables):
-                                if table is None:
-                                    table = tables[j] = _image_table(images[j], lasts)
-                                if grown.add(table[x]) is not None and grown.dim >= target:
+                            for image in images:
+                                if grown.add(image(row)) is not None and grown.dim >= target:
                                     break
                             a = grown.dim
                         if a < least:
@@ -553,6 +537,10 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     so it holds no subspace below the need.  The caller may lower need[d]
     between items.
 
+    Each map's columns are packed once, after the budget check, and the
+    image functions (`_map_images`), the nullity (`_least_nullity`) and the
+    group test (`_group_reaches`) all read them.
+
     Exhaustive mode (samples None) checks the enumeration budget of all dims
     before any work, then walks each Grassmannian cell by cell in canonical
     order (`_grassmann_scan`, which checks its counts against the Gaussian
@@ -585,16 +573,17 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
         total = samples * len(need)
     if total > enumeration_cap:
         raise BudgetExceeded(stage, total, enumeration_cap)
-    vec = vectors(p)
-    images = _map_images(fam, vec)
-    nullity = _least_nullity(fam, vec)
+    vec, n = vectors(p), fam.n
+    columns = [tuple(vec.pack(m.entries[c::n]) for c in range(n)) for m in fam.maps]
+    images = _map_images(columns, vec)
+    nullity = _least_nullity(columns, p)
     if samples is None:
-        units = [vec.pack((0,) * c + (1,)) for c in range(fam.n)]
+        units = [vec.pack((0,) * c + (1,)) for c in range(n)]
         proven = {}
         for d in need:
             floor = max(d - nullity, proven.get(d - 1, 0))
-            proven[d] = yield from _grassmann_scan(fam, images, units, d, need, nominal[d],
-                                                   floor)
+            proven[d] = yield from _grassmann_scan(fam, columns, images, units, d, need,
+                                                   nominal[d], floor)
         return
     rng = random.Random(seed)
     accept = _independent(p)
@@ -616,16 +605,15 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
             yield d, rows, span.dim, 1
 
 
-def _least_nullity(fam: MapFamily, vec) -> int:
-    """The least nullity n - rank over the family's maps, each rank from
-    adding the map's packed rows to one row span, up to the first
-    invertible map."""
-    n = fam.n
-    least = n
-    for m in fam.maps:
-        span = make_row_span(fam.field.modulus)
-        for i in range(n):
-            span.add(vec.pack(m.row(i)))
+def _least_nullity(columns: list, p: int) -> int:
+    """The least nullity n - rank over the maps whose packed columns
+    `columns` holds, each rank from adding the map's columns to one row span
+    (a map has the rank of its columns), up to the first invertible map."""
+    least = n = len(columns[0])
+    for cols in columns:
+        span = make_row_span(p)
+        for v in cols:
+            span.add(v)
         least = min(least, n - span.dim)
         if not least:
             break

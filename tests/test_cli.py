@@ -1034,7 +1034,8 @@ def test_reports_do_not_depend_on_the_hash_seed(run, tmp_path):
     def outputs(seed):
         runs = [subprocess.run([sys.executable, "-m", "dimspread", *argv],
                                env=dict(env, PYTHONHASHSEED=seed),
-                               capture_output=True, text=True, timeout=120)
+                               capture_output=True, text=True, encoding="utf-8",
+                               timeout=120)
                 for argv in corpus]
         return ([(done.returncode, done.stdout, done.stderr) for done in runs],
                 dec.read_text(encoding="ascii"))
@@ -1051,7 +1052,8 @@ def test_module_entry_point_sets_the_exit_code(tmp_path):
 
     def module(*argv):
         return subprocess.run([sys.executable, "-m", "dimspread", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, encoding="utf-8",
+                              timeout=120)
 
     done = module("build-maps", "--kind", "shifts", "--n", "3")
     assert (done.returncode, done.stderr) == (0, "")

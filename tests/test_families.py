@@ -648,9 +648,10 @@ def test_large_expansion_records_take_one_pass():
 
 
 def test_last_row_tables_stay_under_the_cap():
-    # GF(2) n=16 at s=1: the pivot-0 cell's last row has 15 free entries.  A
-    # whole-row table of images would hold 2**15 vectors per map; its list
-    # slots alone take 2**15 * D * 8 bytes.
+    # GF(2) n=16 at s=1: the pivot-0 cell's last row has 15 free entries.
+    # The cap bounds the values `lasts` lists for that row, so the row is
+    # split.  Unsplit, `lasts` would hold 2**15 ints: 2**15 * 8 bytes of list
+    # slots and several times that in int objects, above the bound below.
     fam = matching_maps(shift_matchings(16), GF2)
     tracemalloc.start()
     try:
@@ -662,32 +663,31 @@ def test_last_row_tables_stay_under_the_cap():
     assert peak < 2**15 * len(fam.maps) * 8
 
 
-def test_last_row_tables_are_built_once_per_cell(monkeypatch):
-    # At cap 4 a GF(2) table covers two free entries, and the last rows of
+def test_row_values_are_listed_once_per_cell(monkeypatch):
+    # At cap 4 a GF(2) `lasts` covers two free entries, and the last rows of
     # GF(2) n=6 at d = 2 have up to four.  Only one-row cells split, so each
-    # cell builds d row tables, one last-row table and at most D map tables;
-    # with the need at n no prefix span reaches it.  Both kinds are counted:
-    # row tables as `fill` calls through families.vectors.
+    # cell lists d prefix rows' values and one last row's values, and no
+    # image table is built per cell; with the need at n no prefix span
+    # reaches it.  Lists are counted as `fill` calls through
+    # families.vectors.
     fam = matching_maps(shift_matchings(6), GF2)
     d, builds = 2, []
     real = families_module.vectors
 
-    def counted(build):
-        def wrapper(*args):
-            builds.append(1)
-            return build(*args)
-        return wrapper
-
     def counted_vectors(p):
         vec = real(p)
-        return vec._replace(fill=counted(vec.fill))
+
+        def fill(*args):
+            builds.append(1)
+            return vec.fill(*args)
+
+        return vec._replace(fill=fill)
 
     monkeypatch.setattr(families_module, "_TABLE_CAP", 4)
     monkeypatch.setattr(families_module, "vectors", counted_vectors)
-    monkeypatch.setattr(families_module, "_image_table", counted(families_module._image_table))
     scan = list(families_module._image_sums(fam, {d: fam.n}, None, None, 10**6, "test"))
     assert sum(count for *_, count in scan) == grassmann_count(6, d, 2)
-    assert len(builds) <= math.comb(6, d) * (d + 1 + len(fam.maps))
+    assert len(builds) <= math.comb(6, d) * (d + 1)
 
 
 def count_image_tables(monkeypatch) -> list:
@@ -784,13 +784,15 @@ def test_scan_checks_its_counts():
     # the counts of a dimension must sum to the Gaussian binomial it is given
     fam = shift_words_7()
     p, n, d = 2, fam.n, 3
-    images = families_module._map_images(fam, vectors(p))
+    columns = map_columns(fam)
+    images = families_module._map_images(columns, vectors(p))
     units = [1 << c for c in range(n)]
     nominal = grassmann_count(n, d, p)
     assert sum(item[3] for item in families_module._grassmann_scan(
-        fam, images, units, d, {d: n}, nominal, 0)) == nominal
+        fam, columns, images, units, d, {d: n}, nominal, 0)) == nominal
     with pytest.raises(RuntimeError, match="covered 11811 subspaces, not 11812"):
-        list(families_module._grassmann_scan(fam, images, units, d, {d: n}, nominal + 1, 0))
+        list(families_module._grassmann_scan(fam, columns, images, units, d, {d: n},
+                                             nominal + 1, 0))
 
 
 def count_items(monkeypatch):
@@ -883,9 +885,10 @@ def test_an_invertible_map_floors_measure(monkeypatch):
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_singular_maps_give_the_floor_d_minus_the_least_nullity(p, monkeypatch):
     # Maps of ranks 3, 2 and 3 on GF(p)^5 (rows beyond the rank are zero):
-    # the least nullity is 2, and it is found by adding each map's rows.  A
-    # dim-d need at or below d - 2 is settled cell by cell at exactly d - 2
-    # before any image is taken; a need of d - 1 is scanned.
+    # the least nullity is 2, and it is found by adding each map's packed
+    # columns, whose rank is the map's.  A dim-d need at or below d - 2 is
+    # settled cell by cell at exactly d - 2 before any image is taken; a need
+    # of d - 1 is scanned.
     field, n = FieldSpec(p), 5
     rng = random.Random(900 + p)
     maps = []
@@ -897,7 +900,7 @@ def test_singular_maps_give_the_floor_d_minus_the_least_nullity(p, monkeypatch):
         maps.append(Matrix.from_rows(field, rows + [[0] * n] * (n - rank)))
     fam = MapFamily(field, n, tuple(maps))
     assert min(n - rank_mod_p(m.row_lists(), p) for m in fam.maps) == 2
-    assert families_module._least_nullity(fam, vectors(p)) == 2
+    assert families_module._least_nullity(map_columns(fam), p) == 2
     built = count_image_tables(monkeypatch)
     for d in range(3, n + 1):
         for t in (0, d - 2):

@@ -11,7 +11,8 @@ from dimspread.formats import parse_decomposition, parse_matchings
 from dimspread.gfp import GF2, Matrix
 from dimspread.tensor import eval_decomposition
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8")
 
 
 def fenced_blocks(lang: str) -> list[str]:

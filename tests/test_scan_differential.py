@@ -457,8 +457,8 @@ def test_floor_blocks_match_slow_route(p, n, monkeypatch):
     # lowers it, and with the floor `_grassmann_scan` was given.
     items, real = [], families_module._grassmann_scan
 
-    def recorded(fam, images, units, d, need, nominal, floor):
-        scan = real(fam, images, units, d, need, nominal, floor)
+    def recorded(fam, columns, images, units, d, need, nominal, floor):
+        scan = real(fam, columns, images, units, d, need, nominal, floor)
         while True:
             try:
                 item = next(scan)

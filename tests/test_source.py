@@ -52,7 +52,7 @@ def test_float_uses_finds_each_kind():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_floats_in_source(path):
-    assert float_uses(path.read_text()) == []
+    assert float_uses(path.read_text(encoding="utf-8")) == []
 
 
 # The packed-vector layer of `gfp`: only the scans and the rank search use it.
@@ -83,7 +83,7 @@ def test_packed_uses_finds_each_kind():
 
 @pytest.mark.parametrize("name", ["subspace.py", "certify.py"])
 def test_exact_layer_uses_no_packed_vectors(name):
-    assert packed_uses((SRC / name).read_text()) == []
+    assert packed_uses((SRC / name).read_text(encoding="utf-8")) == []
 
 
 # The byte conversions of the packed vectors.  Over odd p an image is read out
@@ -109,7 +109,7 @@ def test_byte_uses_finds_each_kind():
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "gfp.py"),
                          ids=lambda p: p.name)
 def test_only_gfp_converts_vectors_to_bytes(path):
-    assert byte_uses(path.read_text()) == []
+    assert byte_uses(path.read_text(encoding="utf-8")) == []
 
 
 # Private members of `random.Random` (`_randbelow` and its two variants).  A
@@ -144,7 +144,7 @@ def test_random_private_uses_finds_each_kind():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_random_members_in_source(path):
-    assert random_private_uses(path.read_text()) == []
+    assert random_private_uses(path.read_text(encoding="utf-8")) == []
 
 
 def stdout_uses(source: str) -> list[str]:
@@ -180,7 +180,7 @@ def test_stdout_uses_finds_each_kind():
 def test_cli_writes_stdout_only_in_main():
     # one place writes stdout, after the subcommand has finished, so a run
     # that fails part way prints no partial report
-    assert stdout_uses((SRC / "cli.py").read_text()) == []
+    assert stdout_uses((SRC / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def step_sites(source: str) -> list[str]:
@@ -216,7 +216,7 @@ def test_rank_search_counts_steps_at_one_site():
     # Each pick of the walk is one add to cur and one step against the cap,
     # so one function makes the add, counts the step and raises at the cap;
     # a second copy of that rule could count a pick the other does not.
-    sites = step_sites((SRC / "tensor.py").read_text())
+    sites = step_sites((SRC / "tensor.py").read_text(encoding="utf-8"))
     assert sorted(site.split(": ")[1] for site in sites) == ["BudgetExceeded", "cur.add", "steps"]
 
 
@@ -267,4 +267,4 @@ def test_non_stdlib_imports_finds_each_kind():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_source_imports_only_the_standard_library(path):
     # the toolkit is stdlib-only; its own modules are imported relatively
-    assert non_stdlib_imports(path.read_text()) == []
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
