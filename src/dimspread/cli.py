@@ -32,9 +32,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-# rank_bound is unused here, but bench/tracing.py patches cli.rank_bound.
 from .certify import certify_lower_bound, family_tensor, rank_bound, refute_spreading
-from .errors import BudgetExceeded, NotSpreading
+from .errors import BudgetExceeded, NotSpreading, format_need
 from .families import (
     DEFAULT_WORD_CAP,
     MapFamily,
@@ -514,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
         return code
     except BudgetExceeded as e:
-        print(f"budget exceeded in {e.stage}: needs {e.needed}, cap {e.cap}",
+        print(f"budget exceeded in {e.stage}: needs {format_need(e.needed)}, cap {e.cap}",
               file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

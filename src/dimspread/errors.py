@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one format of a
+budget's need."""
 
 from __future__ import annotations
 
@@ -11,7 +12,16 @@ __all__ = [
     "SpanFailure",
     "TooManyTerms",
     "TraceInvariantViolation",
+    "format_need",
 ]
+
+
+def format_need(needed: int) -> str:
+    """`needed` in decimal, or `at least 2^k` (k = bit length - 1) once it
+    has more than 4300 digits, the most CPython writes in decimal by default."""
+    if needed < 10**4300:
+        return str(needed)
+    return f"at least 2^{needed.bit_length() - 1}"
 
 
 class BudgetExceeded(RuntimeError):
@@ -22,7 +32,7 @@ class BudgetExceeded(RuntimeError):
     """
 
     def __init__(self, stage: str, needed: int, cap: int):
-        super().__init__(f"{stage}: needs {needed} > cap {cap}")
+        super().__init__(f"{stage}: needs {format_need(needed)} > cap {cap}")
         self.stage = stage
         self.needed = needed
         self.cap = cap

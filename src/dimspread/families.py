@@ -30,8 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
-# Gf2RowSpan and cell_subspaces are unused here, but bench/tracing.py patches
-# families.Gf2RowSpan and families.cell_subspaces.
 from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, vectors
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
@@ -541,9 +539,11 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     image functions (`_map_images`), the nullity (`_least_nullity`) and the
     group test (`_group_reaches`) all read them.
 
-    Exhaustive mode (samples None) checks the enumeration budget of all dims
-    before any work, then walks each Grassmannian cell by cell in canonical
-    order (`_grassmann_scan`, which checks its counts against the Gaussian
+    Exhaustive mode (samples None) adds the dims' Gaussian binomials in
+    `need` order, one `grassmann_count` call each, and refuses at the first
+    running total past the enumeration budget, before any work.  It then
+    walks each Grassmannian cell by cell in canonical order
+    (`_grassmann_scan`, which checks its counts against the Gaussian
     binomials computed for the budget), so the first subspace a caller picks
     is the canonical first.  Each dim is scanned with its proven floor: the
     larger of d - k, for k the least nullity over the maps (the image sum
@@ -563,8 +563,12 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     """
     p = fam.field.modulus
     if samples is None:
-        nominal = {d: grassmann_count(fam.n, d, p) for d in need}
-        total = sum(nominal.values())
+        nominal, total = {}, 0
+        for d in need:
+            nominal[d] = grassmann_count(fam.n, d, p)
+            total += nominal[d]
+            if total > enumeration_cap:
+                break
     else:
         if seed is None:
             raise ValueError("sampled mode requires a seed")

@@ -13,8 +13,9 @@ candidates of that pass are found by lookup: the pool's residues modulo
 the slice span are keyed by line once per search, each node takes its keys
 from its parent, re-keyed by one row when its pick grows the joint span,
 and a node one dimension short walks only the picks that can still
-complete.  Every pick is made, and counted as one step, by one function,
-and each part of the walk returns the pool indices it picked, or None.
+complete, listed in a table its key-0 children share.  One function walks
+every node and one makes every pick, counting it as one step; each part of
+the walk returns the pool indices it picked, or None.
 """
 
 from __future__ import annotations
@@ -215,17 +216,17 @@ def min_spanning_rank_ones(
     the witness is unchanged.
 
     The pass needs the pool indices inside the joint span.  A node whose
-    joint span J has dimension r - 1 groups the later indices by the line
-    of their residue modulo J (`line_keys`: the residue itself over GF(2),
-    scaled to a unit first entry over odd p).  A pick v outside J makes
-    J + <v> full, and w lies in it exactly when w's residue is zero or on
-    v's line; so the pass walks the indices after v with key 0 or key(v),
-    merged in index order, and makes no membership test.  Every node keys
-    its pool the same way, from its parent: the root's keys are the slice
-    span's, reduced and keyed once per search; a pick with key 0 leaves J
-    unchanged, so its child shares the keys (and at r - 1 the table); any
-    other pick inserts one row into J, by which alone `line_keys` re-keys
-    the later indices.
+    joint span J has dimension r - 1 builds a table of the later indices,
+    grouped by the line of their residue modulo J (`line_keys`: the residue
+    itself over GF(2), scaled to a unit first entry over odd p).  A pick v
+    outside J makes J + <v> full, and w lies in it exactly when w's residue
+    is zero or on v's line; so the pass walks the indices after v with key
+    0 or key(v), merged in index order, and makes no membership test.  Every
+    node keys its pool the same way, from its parent: the root's keys are
+    the slice span's, reduced and keyed once per search; a pick with key 0
+    leaves J unchanged, so its child shares the keys (and at r - 1 the
+    table); any other pick inserts one row into J, by which alone
+    `line_keys` re-keys the later indices.
 
     No set of pool vectors inside J spans J, since r - 1 of them would span
     the slices and the search at r - 1 would have returned them.  So a
@@ -288,7 +289,7 @@ def min_spanning_rank_ones(
             # remaining pool indices inside it, ascending: the remaining picks
             # are a basis completion of cur among them, and the greedy pass by
             # index finds the first.  A pick remains: from the root none is
-            # made, and from `close` depth <= r - 2 before its pick.
+            # made, and from a table node depth <= r - 2 before its pick.
             need = r - cur.dim
             kept = []
             for i in cands:
@@ -305,73 +306,61 @@ def min_spanning_rank_ones(
                 cur.remove(tok)
             return None
 
-        def table(start: int, keys: list) -> tuple:
-            # joint.dim == r - 1 and keys[j - start], for j >= start, is pool
-            # j's line key modulo joint.  A pick i raises joint to r exactly
-            # when its key is nonzero, and then a later index j lies in the new
+        def table(off: int, keys: list) -> tuple:
+            # joint.dim == r - 1 and keys[j - off], for j >= off, is pool j's
+            # line key modulo joint.  A pick i raises joint to r exactly when
+            # its key is nonzero, and then a later index j lies in the new
             # joint span exactly when key j is 0 or equals key i.  `walk` lists
-            # the indices that can start a completion (see `close`): key 0, or
-            # a later index on the same line; `lines` holds each line of two
-            # or more indices.
-            idx = range(start, pool_n)
+            # the indices that can start a completion: key 0, or a later index
+            # on the same line.  `lines` files each line of two or more indices
+            # under its key, and the key-0 indices under 0.
+            idx = range(off, pool_n)
             ends = dict(zip(keys, idx))  # the last index of each key
             walk = [j for j, k in zip(idx, keys) if not k or ends[k] != j]
-            zeros: list[int] = []
-            lines: dict = {}
+            lines: dict = {0: []}
             for j in walk:
-                k = keys[j - start]
-                if k:
-                    lines.setdefault(k, []).append(j)
-                else:
-                    zeros.append(j)
+                lines.setdefault(keys[j - off], []).append(j)
             for k, line in lines.items():
-                line.append(ends[k])
-            return start, keys, zeros, lines, walk
+                if k:
+                    line.append(ends[k])
+            return lines, walk
 
-        def close(start: int, tab) -> list[int] | None:
-            # A node with joint.dim == r - 1, where a pick outside joint makes
-            # it full and hands the rest of the branch to `complete`.  No pool
-            # vectors inside joint span it (r - 1 of them would span the
-            # slices, and attempt(r - 1) would have returned them), so depth
-            # <= r - 2, and a pick that ends its line cannot complete: it is
-            # not walked.
-            first, keys, zeros, lines, walk = tab
+        def node(start: int, off: int, keys: list, tab=None) -> list[int] | None:
+            # keys[j - off], for j >= start, is pool j's line key modulo joint.
+            # A pick with key 0 leaves joint unchanged, and its child shares
+            # the keys and the table.  Below r - 1 any other pick joins joint,
+            # and its child re-keys the later indices by that one row.  At
+            # r - 1 (with a table) it makes joint full and hands the rest of
+            # the branch to `complete`; no pool vectors inside joint span it
+            # (r - 1 of them would span the slices, and attempt(r - 1) would
+            # have returned them), so depth <= r - 2, and a pick that ends its
+            # line cannot complete: it is not walked.
+            if tab is None:
+                if joint.dim == r:
+                    return complete(j for j in range(start, pool_n) if not keys[j - off])
+                if joint.dim == r - 1:
+                    tab = table(off, keys)
             last = pool_n - (r - cur.dim) + 1
-            for i in walk[bisect_left(walk, start):bisect_left(walk, last)]:
+            if tab is None:
+                picks = range(start, last)
+            else:
+                lines, walk = tab
+                picks = walk[bisect_left(walk, start):bisect_left(walk, last)]
+            for i in picks:
                 tok_c = pick(i)
                 if tok_c is None:
                     continue
-                k = keys[i - first]
-                if k:
-                    line = lines[k]
+                k = keys[i - off]
+                if not k:
+                    found = node(i + 1, off, keys, tab)
+                elif tab is not None:
+                    zeros, line = lines[0], lines[k]
                     found = complete(sorted(zeros[bisect_right(zeros, i):]
                                             + line[bisect_right(line, i):]))
                 else:
-                    found = close(i + 1, tab)
-                if found is not None:
-                    return [i, *found]
-                cur.remove(tok_c)
-            return None
-
-        def node(start: int, off: int, keys: list) -> list[int] | None:
-            # keys[j - off], for j >= start, is pool j's line key modulo joint.
-            # Below r - 1 a pick with key 0 leaves joint unchanged and shares
-            # the keys; any other pick joins joint, and its child re-keys the
-            # later indices by that one row.
-            if joint.dim == r:
-                return complete(j for j in range(start, pool_n) if not keys[j - off])
-            if joint.dim == r - 1:
-                return close(start, table(off, keys))
-            for i in range(start, pool_n - (r - cur.dim) + 1):
-                tok_c = pick(i)
-                if tok_c is None:
-                    continue
-                if keys[i - off]:
                     tok_j = joint.add(pool_vecs[i])
                     found = node(i + 1, i + 1, joint.line_keys(tok_j, keys[i + 1 - off:]))
                     joint.remove(tok_j)
-                else:
-                    found = node(i + 1, off, keys)
                 if found is not None:
                     return [i, *found]
                 cur.remove(tok_c)

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written against plain ints and tuples with
+Every oracle is deliberately written against plain ints and tuples with
 no imports from the package under test, so a bug in the library cannot hide
-itself by infecting the check.
+itself by infecting the check.  `rand_family`, at the end, checks nothing: it
+builds the seeded random families several test modules share.
 """
 
 from itertools import combinations, product
@@ -175,3 +176,20 @@ def lex_first_spanning_rank_ones(slices, p: int, d2: int, d3: int, r_max: int):
                     and rank_mod_p(combo, p) == r):
                 return (r, combo)
     return None
+
+
+def rand_family(field, n, count, rng):
+    """A family of `count` n x n matrices over `field`, entries drawn from
+    `rng` in row-major order, one matrix after another."""
+    from dimspread.families import MapFamily
+    from dimspread.gfp import Matrix
+
+    p = field.modulus
+    return MapFamily(
+        field,
+        n,
+        tuple(
+            Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
+            for _ in range(count)
+        ),
+    )

@@ -58,6 +58,7 @@ from oracles import (
     gaussian_binomial,
     image_sum_dim,
     pair_sums,
+    rand_family,
     rank_one_pool,
 )
 
@@ -69,18 +70,6 @@ def stamp(k: int, label: str, t0: float, budget: float | None = None) -> None:
     if budget is not None:
         assert elapsed < budget, f"criterion {k} took {elapsed:.1f}s, budget {budget}s"
     print(f"ACCEPTANCE {k} {label}: PASS ({elapsed:.1f}s)")
-
-
-def rand_family(field, n, count, rng):
-    p = field.modulus
-    return MapFamily(
-        field,
-        n,
-        tuple(
-            Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
-            for _ in range(count)
-        ),
-    )
 
 
 def oracle_image_sum(fam, sub):

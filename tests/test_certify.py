@@ -31,6 +31,7 @@ from dimspread.tensor import (
     reconstruct_decomposition,
     tensor_rank,
 )
+from oracles import rand_family
 
 F3 = FieldSpec(3)
 
@@ -41,18 +42,6 @@ I3 = Matrix.identity(GF2, 3)
 C3 = Matrix.from_rows(GF2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 SYM2 = MapFamily(GF2, 2, (I2, N2, NT2))
-
-
-def rand_family(field, n, count, rng):
-    p = field.modulus
-    return MapFamily(
-        field,
-        n,
-        tuple(
-            Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
-            for _ in range(count)
-        ),
-    )
 
 
 def test_family_tensor_layout():

@@ -12,7 +12,7 @@ import pytest
 import dimspread
 import dimspread.cli as cli_module
 from dimspread.cli import RunConfig, main
-from dimspread.errors import BudgetExceeded
+from dimspread.errors import BudgetExceeded, format_need
 from dimspread.families import (
     MapFamily,
     dyadic_matchings,
@@ -287,6 +287,27 @@ def test_budget_fires_before_a_settled_scan(run, tmp_path):
         3, "", "budget exceeded in spreading verification: needs 11811, cap 11810\n")
     code, out, err = run(*argv, "11811")
     assert (code, err) == (0, "") and "verdict: holds" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, stage, need", [
+    (["measure"], "expansion measurement", str(2**300 - 1)),
+    (["verify-spreading", "--s", "150", "--t", "150"], "spreading verification",
+     "at least 2^22501"),
+])
+def test_budget_refusal_of_a_large_family_is_one_line(run, tmp_path, argv, stage, need):
+    # The 150-dim subspaces of GF(2)^300 number about 2^22501, a need of
+    # over 4300 digits, which prints as a power of two; a smaller need
+    # prints in decimal.
+    src = str(tmp_path / "s300.maps")
+    assert run("build-maps", "--kind", "shifts", "--n", "300", "--out", src)[0] == 0
+    assert run(argv[0], src, *argv[1:]) == (
+        3, "", f"budget exceeded in {stage}: needs {need}, cap 100000000\n")
+
+
+def test_format_need_is_decimal_up_to_4300_digits():
+    assert format_need(10**4300 - 1) == "9" * 4300
+    assert format_need(10**4300) == "at least 2^14284"
+    assert str(BudgetExceeded("x", 2**20000, 5)) == "x: needs at least 2^20000 > cap 5"
 
 
 def test_verify_spreading_holds_frozen(run, tmp_path):

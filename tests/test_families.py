@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from dimspread.families import (
 )
 from dimspread.gfp import GF2, FieldSpec, Matrix, vectors
 from dimspread.subspace import enumerate_subspaces, grassmann_count
-from oracles import image_sum_dim, rank_mod_p, replay_draws, rref_mod_p
+from oracles import image_sum_dim, rand_family, rank_mod_p, replay_draws, rref_mod_p
 
 F3 = FieldSpec(3)
 
@@ -43,18 +44,6 @@ I3 = Matrix.identity(GF2, 3)
 C3 = Matrix.from_rows(GF2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # cyclic shift
 
 SYM2 = MapFamily(GF2, 2, (I2, N2, NT2))
-
-
-def rand_family(field, n, count, rng):
-    p = field.modulus
-    return MapFamily(
-        field,
-        n,
-        tuple(
-            Matrix(field, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
-            for _ in range(count)
-        ),
-    )
 
 
 def test_family_validation():
@@ -955,6 +944,25 @@ def test_each_dimension_is_budgeted_once(monkeypatch):
     dims.clear()
     spreading_profile(fam)
     assert dims == [1, 2, 3, 4, 5, 6]
+
+
+def test_budget_refuses_at_the_first_dimension_past_the_cap(monkeypatch):
+    # GF(2)^1000 has 2^1000 - 1 lines: the running total of the Gaussian
+    # binomials crosses the cap at dim 1, and no later dim is computed.
+    fam = matching_maps(shift_matchings(1000), GF2)
+    dims, real = [], families_module.grassmann_count
+
+    def counted(n, d, p):
+        dims.append(d)
+        return real(n, d, p)
+
+    monkeypatch.setattr(families_module, "grassmann_count", counted)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        measure_expansion(fam)
+    assert time.perf_counter() - t0 < 1.0
+    assert dims == [1]
+    assert (exc.value.stage, exc.value.needed) == ("expansion measurement", 2**1000 - 1)
 
 
 @pytest.mark.parametrize("fam, need, items, subspaces", [

@@ -3,9 +3,10 @@ the exact subspace layer stays off the packed vectors the scans use, so the
 invariants it checks do not share code with them; only `gfp` turns vectors
 into bytes, so the lane layout stays decided there; the sampler's draw
 protocol rests on the public `random.Random` API alone; the CLI writes
-stdout from `main` alone; the rank search counts its steps at one site; each
-`__all__` lists what its module defines; and the package imports nothing
-outside the standard library."""
+stdout from `main` alone; the rank search counts its steps at one site and
+walks its picks in one function; no module imports a name it does not use;
+each `__all__` lists what its module defines; and the package imports
+nothing outside the standard library."""
 
 import ast
 import importlib
@@ -218,6 +219,87 @@ def test_rank_search_counts_steps_at_one_site():
     # a second copy of that rule could count a pick the other does not.
     sites = step_sites((SRC / "tensor.py").read_text(encoding="utf-8"))
     assert sorted(site.split(": ")[1] for site in sites) == ["BudgetExceeded", "cur.add", "steps"]
+
+
+def pick_sites(source: str) -> list[str]:
+    """Calls of the name `pick` in `source`, as 'line: the innermost
+    function that makes the call'."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "pick"):
+                found.append(f"{child.lineno}: {fn}")
+            visit(child, fn)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_pick_sites_finds_each_kind():
+    source = ("def walk():\n    tok = pick(i)\n"
+              "    def inner():\n        return pick(j) or span.pick(k)\n"
+              "    picker(i)\n    return [pick(j) for j in js]\n"
+              "pick(0)\n")
+    assert sorted(pick_sites(source)) == ["2: walk", "4: inner", "6: walk", "7: <module>"]
+
+
+def test_rank_search_walks_picks_in_one_function():
+    # A pick is made in the greedy pass of a full joint span and in the walk
+    # over every other node, nowhere else: a second walk would be a second
+    # copy of the pick loop, and each prune would have to go into both.
+    sites = pick_sites((SRC / "tensor.py").read_text(encoding="utf-8"))
+    assert sorted(site.split(": ")[1] for site in sites) == ["complete", "node"]
+
+
+# Imports that a module keeps although it does not use them: the benchmark's
+# tracer patches each of these names on the module that imports it.
+TRACED_IMPORTS = {"families": {"Gf2RowSpan", "cell_subspaces"}, "cli": {"rank_bound"}}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that `source` imports (outside `from __future__`) and neither
+    reads nor lists in its `__all__`, as 'line: name'."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "__all__"):
+            used.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_finds_each_kind():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path, sys as system\nimport json\n"
+              "from .gfp import Matrix, vectors as vec, solve\n"
+              "from . import tensor\n"
+              "__all__ = ['solve']\n"
+              "def f(m: Matrix):\n    return json.dumps(tensor.x)\n")
+    assert sorted(unused_imports(source)) == ["2: os", "2: system", "4: vec"]
+
+
+# The package `__init__` imports only to re-export: its `__all__` is every
+# name it imports.
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports_in_source(path):
+    kept = TRACED_IMPORTS.get(path.stem, set())
+    assert sorted(site for site in unused_imports(path.read_text(encoding="utf-8"))
+                  if site.split(": ")[1] not in kept) == []
 
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
