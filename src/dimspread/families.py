@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceeded, ClosureViolation, MonotonicityViolation
-from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, vectors
+from .gfp import FieldSpec, Gf2RowSpan, Matrix, make_row_span, residue_reader, vectors
 from .subspace import (
     DEFAULT_ENUMERATION_CAP,
     Subspace,
@@ -554,6 +554,9 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
     len(need) draws against the same budget, then draws `samples` subspaces
     per dimension from one RNG seeded with `seed` (through the module name
     `sample_with_rng`, once per draw, with `_independent` as its rank test).
+    The scan owns that RNG, so it reads it ahead with one read-ahead
+    `residue_reader`: the values are those randrange(p) gives, and only the
+    RNG's state, which nothing else reads, runs ahead of them.
     A draw whose need[d] is at or below d - k is yielded with a = d - k and
     takes no image; any other adds the images of its packed rows until the
     span reaches need[d].  Each draw is yielded with count 1.  Sampled rows
@@ -590,11 +593,12 @@ def _image_sums(fam: MapFamily, need: dict[int, int], samples: int | None,
                                                    nominal[d], floor)
         return
     rng = random.Random(seed)
+    take = residue_reader(p, rng, ahead=True)
     accept = _independent(p)
     for d in need:
         floor = max(d - nullity, 0)
         for _ in range(samples):
-            rows = sample_with_rng(fam.n, d, fam.field, rng, accept)
+            rows = sample_with_rng(fam.n, d, fam.field, rng, accept, take)
             target = need[d]
             if target <= floor:
                 yield d, rows, floor, 1
@@ -626,8 +630,8 @@ def _least_nullity(columns: list, p: int) -> int:
 
 def _independent(p: int):
     """The sampler's rank test on packed rows: accept(rows) packs an
-    attempt's rows and returns them as drawn when each one grows one row
-    span, and None at the first that does not."""
+    attempt's rows (lists or bytes of residues) and returns them as drawn
+    when each one grows one row span, and None at the first that does not."""
     pack = vectors(p).pack
 
     def accept(rows):

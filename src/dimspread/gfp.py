@@ -21,6 +21,8 @@ term.  Either way a coefficient vector must have reduced lanes and no more
 lanes than there are rows.  `fill` sets coordinates that are 0 to every
 value, which is int addition with no carry in either layout.  Elimination
 (`rref`, `kernel_basis`, `solve`) runs on dense residue rows for every p.
+`residue_reader` holds the sampler's draw protocol: the values
+rng.randrange(p) gives, drawn one by one or read ahead in blocks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "vectors",
     "pack_bits",
     "unpack_bits",
+    "residue_reader",
 ]
 
 PRIME_LIMIT = 1 << 16
@@ -185,13 +188,14 @@ class Matrix:
 # ----------------------------------------------------------------------
 
 
+# Byte x -> the binary digit b"0" or b"1" that `pack_bits` writes for it.
+_BIT_DIGITS = b"0" + b"1" * 255
+
+
 def pack_bits(seq) -> int:
-    """Pack a 0/1 sequence into an int, bit j = position j."""
-    v = 0
-    for j, x in enumerate(seq):
-        if x:
-            v |= 1 << j
-    return v
+    """Pack a 0/1 sequence (or bytes) into an int, bit j = position j: its
+    entries as binary digits, last entry first."""
+    return int(bytes(seq)[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
 def unpack_bits(v: int, width: int) -> tuple[int, ...]:
@@ -386,6 +390,65 @@ def vectors(p: int) -> FieldVectors:
     """Vector operations for GF(p): one bit per coordinate for p = 2, one
     lane of `_lanes(p)` per coordinate otherwise."""
     return _GF2_VECTORS if p == 2 else _residue_vectors(p)
+
+
+# ----------------------------------------------------------------------
+# residue draws: the values rng.randrange(p) gives, read from getrandbits
+# ----------------------------------------------------------------------
+
+# 32-bit words per read-ahead block, one getrandbits(32 * _BLOCK) call.
+_BLOCK = 256
+
+
+def residue_reader(p: int, rng, ahead: bool = False) -> Callable:
+    """take(count), which returns the next `count` values that
+    rng.randrange(p) would give on the `random.Random` rng, in order.
+
+    CPython draws randrange(p) as getrandbits(k), k = p.bit_length(),
+    redrawn while it is p or more, and for k <= 32 getrandbits(k) is the
+    top k bits of one 32-bit output.  The exact reader (ahead false) makes
+    those calls, one per value, and returns a list; it leaves rng exactly
+    where the randrange calls would, so a caller that owns rng may go on
+    drawing from it.  The read-ahead reader (ahead true, and p < 256 so
+    that k <= 8) is for a caller that draws from rng through this reader
+    alone: it takes _BLOCK outputs at a time as one getrandbits(32 *
+    _BLOCK), whose 32-bit words are the outputs in order, lowest first,
+    maps the top byte x of each to x >> (8 - k), drops the values p or
+    more, and keeps what a take leaves for the next.  It returns bytes, the
+    same values, and leaves rng up to a block ahead.  Over p >= 256 it is
+    the exact reader.
+    """
+    k = p.bit_length()
+    getrandbits = rng.getrandbits
+    if not ahead or k > 8:
+        def take(count: int) -> list:
+            out = []
+            for _ in range(count):
+                x = getrandbits(k)
+                while x >= p:
+                    x = getrandbits(k)
+                out.append(x)
+            return out
+
+        return take
+    shift = 8 - k
+    table = bytes(x >> shift for x in range(256))
+    rejects = bytes(x for x in range(256) if x >> shift >= p)
+    size = 32 * _BLOCK
+    buf, pos = b"", 0
+
+    def take(count: int) -> bytes:
+        nonlocal buf, pos
+        end = pos + count
+        if end > len(buf):
+            buf, pos, end = buf[pos:], 0, count
+            while end > len(buf):
+                raw = getrandbits(size).to_bytes(size >> 3, "little")
+                buf += raw[3::4].translate(table, rejects)
+        pos = end
+        return buf[end - count:end]
+
+    return take
 
 
 # ----------------------------------------------------------------------

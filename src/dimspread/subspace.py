@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded
-from .gfp import FieldSpec, Matrix, _rref_dense, kernel_basis, rref
+from .gfp import FieldSpec, Matrix, _rref_dense, kernel_basis, residue_reader, rref
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -215,26 +215,29 @@ def enumerate_subspaces(
 # ----------------------------------------------------------------------
 
 
-def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random, accept=None):
+def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random, accept=None,
+                    take=None):
     """A uniform s-dimensional subspace, drawn from an existing RNG stream.
 
     Rejection sampling: each attempt draws an s x n matrix, row by row, all
     before the rank test; the first attempt of full row rank is the draw.
     Uniformity follows because every s-dimensional subspace has the same
     number of ordered bases.  Each entry is the value rng.randrange(p) gives
-    on a `random.Random`, drawn as CPython draws it:
-    rng.getrandbits(p.bit_length()), redrawn while it is p or more.  The
-    values and the RNG state after each draw are those of randrange(p); the
-    loop is inline to save randrange's three Python-level calls per entry.
+    on a `random.Random`, and the values come from take(count), a
+    `residue_reader` of rng, one take of s * n values per attempt.  The
+    default is the exact reader, which leaves rng after each draw where
+    randrange(p) would; a caller that owns rng may pass the read-ahead one,
+    which gives the same values.
 
-    accept is the rank test: it takes an attempt's s rows, lists of
-    residues it may change, and returns the draw, or None when the rows
-    are dependent and the attempt is drawn again.  It must accept exactly
-    the attempts of rank s, or the stream drifts from the protocol.  The
-    default reduces the rows in place and returns them as `_rref_dense`
-    leaves them: the canonical basis, neither validated nor built into a
-    `Subspace` (`sample_subspace` builds one).  At s = 0 the first attempt
-    draws nothing and is accepted.
+    accept is the rank test: it takes an attempt's s rows, sequences of
+    residues (lists it may change from the exact reader, bytes from the
+    read-ahead one), and returns the draw, or None when the rows are
+    dependent and the attempt is drawn again.  It must accept exactly the
+    attempts of rank s, or the stream drifts from the protocol.  The
+    default reduces the rows and returns them as `_rref_dense` leaves them:
+    the canonical basis, neither validated nor built into a `Subspace`
+    (`sample_subspace` builds one).  At s = 0 the first attempt draws
+    nothing and is accepted.
     """
     if not 0 <= s <= n:
         raise ValueError(f"dimension {s} is not between 0 and {n}")
@@ -243,19 +246,11 @@ def sample_with_rng(n: int, s: int, field: FieldSpec, rng: random.Random, accept
         def accept(rows):
             rows, rank, _ = _rref_dense(rows, n, p)
             return rows if rank == s else None
-    k = p.bit_length()
-    getrandbits = rng.getrandbits
+    if take is None:
+        take = residue_reader(p, rng)
     while True:
-        rows = []
-        for _ in range(s):
-            row = []
-            for _ in range(n):
-                x = getrandbits(k)
-                while x >= p:
-                    x = getrandbits(k)
-                row.append(x)
-            rows.append(row)
-        draw = accept(rows)
+        values = take(s * n)
+        draw = accept([values[i * n:(i + 1) * n] for i in range(s)])
         if draw is not None:
             return draw
 

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from dimspread.certify import (
     certify_lower_bound,
     check_trace,

@@ -24,13 +24,7 @@ from dimspread.errors import (
 from dimspread.families import MapFamily, SpreadingParams, symmetrize
 from dimspread.gfp import GF2, FieldSpec, Matrix
 from dimspread.subspace import Subspace, span_of
-from dimspread.tensor import (
-    Decomposition,
-    RankOneTerm,
-    eval_decomposition,
-    reconstruct_decomposition,
-    tensor_rank,
-)
+from dimspread.tensor import Decomposition, RankOneTerm, tensor_rank
 from oracles import rand_family
 
 F3 = FieldSpec(3)

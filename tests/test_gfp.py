@@ -18,6 +18,7 @@ from dimspread.gfp import (
     kernel_basis,
     make_row_span,
     pack_bits,
+    residue_reader,
     rref,
     solve,
     unpack_bits,
@@ -216,6 +217,63 @@ def test_bit_packing_roundtrip():
         w = rng.randrange(1, 12)
         v = [rng.randrange(2) for _ in range(w)]
         assert list(unpack_bits(pack_bits(v), w)) == v
+
+
+def bit_loop(seq):
+    """Reference bit packing: bit j is set exactly when entry j is nonzero."""
+    v = 0
+    for j, x in enumerate(seq):
+        if x:
+            v |= 1 << j
+    return v
+
+
+def test_pack_bits_matches_the_bit_loop():
+    rng = random.Random(6)
+    for w in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+        for _ in range(5):
+            v = [rng.randrange(2) for _ in range(w)]
+            for seq in (v, tuple(v), bytes(v)):
+                assert pack_bits(seq) == bit_loop(seq)
+    assert pack_bits(()) == pack_bits(b"") == pack_bits([]) == 0
+    assert pack_bits([0] * 70) == 0 and pack_bits([1] * 70) == 2**70 - 1
+
+
+# Moduli with k = p.bit_length() from 2 to 16 and per-value rejection rates
+# from 0.0002 to 0.5; p >= 256 has k > 8, where read-ahead is the exact loop.
+READER_MODULI = (2, 3, 5, 7, 13, 17, 251, 257, 65521)
+
+
+def reader_sizes():
+    """Take sizes 0, 1, B - 1, B, B + 1 and above B for B words per block.
+    A block gives fewer than B values, so the larger takes cross one or more
+    block boundaries, and the small ones start part way into a block."""
+    b = dimspread.gfp._BLOCK
+    return [0, 1, b - 1, 0, b, 1, b + 1, 3 * b + 7, 2, b - 1]
+
+
+@pytest.mark.parametrize("p", READER_MODULI)
+def test_read_ahead_reader_gives_the_randrange_values(p):
+    # The values are the contract: the same seed gives the same values as
+    # randrange(p), in order, however they are split into takes.
+    for seed in range(3):
+        take, ref = residue_reader(p, random.Random(seed), ahead=True), random.Random(seed)
+        for count in reader_sizes():
+            got = take(count)
+            assert list(got) == [ref.randrange(p) for _ in range(count)]
+        if p < 256:
+            assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("p", READER_MODULI)
+def test_exact_reader_leaves_the_rng_where_randrange_does(p):
+    # A caller that owns the RNG may go on drawing from it after each take.
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        take = residue_reader(p, rng)
+        for count in reader_sizes():
+            assert take(count) == [ref.randrange(p) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
 
 
 def xor_rref(rows, cols):

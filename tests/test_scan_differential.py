@@ -485,3 +485,41 @@ def test_floor_blocks_match_slow_route(p, n, monkeypatch):
     # a need at or below the floor from the start settles whole cells; one
     # lowered to it mid-cell settles the rest of a group and row ranges
     assert kinds == {"cell", "group", "rows"}
+
+
+# A sampled scan owns its RNG and reads it ahead in blocks; forced onto the
+# exact reader, which draws each value as randrange(p) does, it must report
+# the same minima, witnesses and counterexamples.  60 draws per dimension
+# cross many blocks; GF(257) has k = 9 > 8 and reads exactly either way.
+def reader_families():
+    rng = random.Random(20261022)
+    yield sparse_family(FieldSpec(2), 5, rng)
+    yield sparse_family(FieldSpec(3), 4, rng)
+    yield sparse_family(FieldSpec(5), 4, rng)
+    yield sparse_family(FieldSpec(257), 3, rng)
+
+
+@pytest.mark.parametrize("fam", list(reader_families()),
+                         ids=lambda f: f"p{f.field.modulus}n{f.n}")
+def test_read_ahead_scans_match_the_exact_reader(fam, monkeypatch):
+    n, samples = fam.n, 60
+    real = families_module.residue_reader
+    modes = []
+
+    def run():
+        report = measure_expansion(fam, samples=samples, seed=5)
+        verdicts = [verify_spreading(fam, SpreadingParams(s, t), samples=samples, seed=s)
+                    for s in range(1, n + 1) for t in range(s, n + 1)]
+        return report, verdicts
+
+    def spied(p, rng, ahead=False):
+        modes.append(ahead)
+        return real(p, rng, ahead)
+
+    monkeypatch.setattr(families_module, "residue_reader", spied)
+    ahead = run()
+    assert modes and all(modes)
+    monkeypatch.setattr(families_module, "residue_reader", lambda p, rng, ahead=False: real(p, rng))
+    assert run() == ahead
+    verdicts = ahead[1]
+    assert any(v.verified for v in verdicts) and any(not v.verified for v in verdicts)

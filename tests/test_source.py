@@ -4,9 +4,9 @@ invariants it checks do not share code with them; only `gfp` turns vectors
 into bytes, so the lane layout stays decided there; the sampler's draw
 protocol rests on the public `random.Random` API alone; the CLI writes
 stdout from `main` alone; the rank search counts its steps at one site and
-walks its picks in one function; no module imports a name it does not use;
-each `__all__` lists what its module defines; and the package imports
-nothing outside the standard library."""
+walks its picks in one function; no module or test file imports a name it
+does not use; each `__all__` lists what its module defines; and the package
+imports nothing outside the standard library."""
 
 import ast
 import importlib
@@ -300,6 +300,14 @@ def test_no_unused_imports_in_source(path):
     kept = TRACED_IMPORTS.get(path.stem, set())
     assert sorted(site for site in unused_imports(path.read_text(encoding="utf-8"))
                   if site.split(": ")[1] not in kept) == []
+
+
+# The test files follow the same rule; pytest finds their fixtures by
+# parameter name, never by an import.
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
